@@ -4,7 +4,6 @@ code paths (vacant-graph degree test, tree sampler validation)."""
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import chi2
 
 
 def _merge_small_bins(expected: np.ndarray, *counts: np.ndarray, min_expected: float = 5.0):
@@ -42,6 +41,8 @@ def chisq_pvalue_counts_vs_probs(counts: np.ndarray, probs: np.ndarray) -> float
         return 1.0
     stat = float(np.sum((counts - expected) ** 2 / expected))
     dof = len(expected) - 1
+    from scipy.stats import chi2
+
     return float(chi2.sf(stat, dof))
 
 
@@ -62,6 +63,8 @@ def chisq_pvalue_two_sample(counts_a: np.ndarray, counts_b: np.ndarray) -> float
     dof = len(a) - 1
     if dof < 1:
         return 1.0
+    from scipy.stats import chi2
+
     return float(chi2.sf(stat, dof))
 
 

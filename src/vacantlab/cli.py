@@ -14,7 +14,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from . import __version__, critical, experiments, exploration, gw
-from .engine import derive_stream
+from .engine import TrialError, derive_stream
 
 _JSON_KW = dict(indent=2, sort_keys=False, ensure_ascii=False)
 
@@ -292,7 +292,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         outputs = args.func(args)
         _write_manifest(args.command, args, argv, started, outputs)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, TrialError, gw.NodeBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -38,7 +38,8 @@ class CriticalSolution:
 
 def _bisect(f, lo: float, hi: float, tol: float, max_iter: int = 200) -> float:
     """Root of f on [lo, hi] assuming f(lo) > 0 > f(hi), to bracket width
-    and residual at most tol."""
+    and residual at most tol. Raises when ``max_iter`` halvings do not get
+    there (for instance when tol is below the float resolution of the root)."""
     flo = f(lo)
     fhi = f(hi)
     if flo < 0 or fhi > 0:
@@ -51,8 +52,9 @@ def _bisect(f, lo: float, hi: float, tol: float, max_iter: int = 200) -> float:
         else:
             hi = mid
         if hi - lo <= tol and abs(fm) <= tol:
-            break
-    return 0.5 * (lo + hi)
+            return 0.5 * (lo + hi)
+    raise ValueError(f"bisection did not reach tol={tol:g} within max_iter={max_iter} "
+                     f"iterations (bracket [{lo!r}, {hi!r}])")
 
 
 def solve_xi(rho: float, tol: float = DEFAULT_TOL) -> float:

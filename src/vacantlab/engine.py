@@ -17,8 +17,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import kolmogorov
-from scipy.stats import binomtest
 
 THREADS_ENV_VAR = "VACANTLAB_THREADS"
 
@@ -113,17 +111,18 @@ class EstimateCI:
 def aggregate(samples) -> EstimateCI:
     """Mean, standard error (sample sd / sqrt(n)) and 95% normal CI.
 
-    Sums are compensated (math.fsum). A single sample reports std_error 0
-    and a degenerate interval rather than NaN.
+    Mean and variance are numpy's float64 reductions (pairwise summation),
+    so the last bits may differ from an exactly rounded sum. A single
+    sample reports std_error 0 and a degenerate interval rather than NaN.
     """
-    xs = [float(x) for x in samples]
-    n = len(xs)
+    xs = np.asarray(samples, dtype=np.float64).ravel()
+    n = xs.size
     if n == 0:
         raise ValueError("no samples")
-    mean = math.fsum(xs) / n
+    mean = float(xs.mean())
     if n == 1:
         return EstimateCI(mean, 0.0, 1, mean, mean)
-    var = math.fsum((x - mean) ** 2 for x in xs) / (n - 1)
+    var = float(xs.var(ddof=1))
     se = math.sqrt(var) / math.sqrt(n)
     return EstimateCI(mean, se, n, mean - 1.96 * se, mean + 1.96 * se)
 
@@ -142,6 +141,8 @@ def ks_uniform_pvalue(samples) -> float:
     d_plus = np.max(grid / n - xs)
     d_minus = np.max(xs - (grid - 1.0) / n)
     d = max(d_plus, d_minus)
+    from scipy.special import kolmogorov
+
     return float(kolmogorov(math.sqrt(n) * d))
 
 
@@ -164,6 +165,8 @@ def binomial_two_sided_pvalue(k: int, m: int, p: float, *, exact_threshold: int 
     if m == 0:
         return 1.0
     if m <= exact_threshold:
+        from scipy.stats import binomtest
+
         return float(binomtest(k, m, p).pvalue)
     mu = m * p
     sigma = math.sqrt(m * p * (1.0 - p))

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import binom
 
 from . import critical, walk
 from ._gof import chisq_pvalue_counts_vs_probs
@@ -255,6 +254,8 @@ class ErLawReport:
 def _binomial_pit(k: int, m: int, p: float, unif: float) -> float:
     """Randomized probability integral transform of a binomial count:
     P[K > k] + U * P[K = k], exactly Uniform[0,1] under the null."""
+    from scipy.stats import binom
+
     sf = float(binom.sf(k, m, p))
     pmf = float(binom.pmf(k, m, p))
     return min(1.0, max(0.0, sf + unif * pmf))
@@ -274,6 +275,8 @@ def er_law_check(n: int, rho: float, u: float, n_trials: int, rng,
     """
     if n_trials < 50:
         raise ValueError("need at least 50 trials")
+    from scipy.stats import binom
+
     gen = as_generator(rng)
     if rho > 1.0:
         xi = critical.solve_xi(rho)

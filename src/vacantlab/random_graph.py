@@ -7,13 +7,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components as _cc
 
 from . import critical
 from .engine import as_generator
+
+if TYPE_CHECKING:
+    from scipy.sparse import csr_matrix
 
 DEFAULT_SMALL_COMPONENT_CONSTANT = 30.0
 
@@ -49,6 +51,8 @@ class Graph:
         return owners[keep], self.indices[keep].astype(np.int64)
 
     def to_sparse(self) -> csr_matrix:
+        from scipy.sparse import csr_matrix
+
         data = np.ones(len(self.indices), dtype=np.int8)
         return csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
 
@@ -171,7 +175,9 @@ def components(g: Graph) -> ComponentLabeling:
     ties by smallest contained vertex)."""
     if g.n == 0:
         return ComponentLabeling(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), [])
-    _, raw = _cc(g.to_sparse(), directed=False)
+    from scipy.sparse.csgraph import connected_components
+
+    _, raw = connected_components(g.to_sparse(), directed=False)
     raw_sizes = np.bincount(raw)
     n_comp = len(raw_sizes)
     # scipy labels components by smallest contained vertex order already;

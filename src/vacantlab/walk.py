@@ -9,8 +9,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.sparse.linalg import eigsh
 
 from .engine import EstimateCI, aggregate, as_generator
 from .random_graph import ComponentLabeling, Graph, components, graph_from_edges
@@ -398,6 +396,8 @@ def spectral_gap(g: Graph, component: np.ndarray, dense_cap: int = DENSE_SPECTRA
     deg = g.degrees()[comp].astype(np.float64)
     dinv = 1.0 / np.sqrt(deg)
     if k <= 600:
+        from scipy.linalg import eigh
+
         s = np.zeros((k, k))
         s[a, b] = dinv[a] * dinv[b]
         s[b, a] = s[a, b]
@@ -405,6 +405,7 @@ def spectral_gap(g: Graph, component: np.ndarray, dense_cap: int = DENSE_SPECTRA
         second = evals[-2]
     else:
         from scipy.sparse import csr_matrix
+        from scipy.sparse.linalg import eigsh
 
         data = np.concatenate([dinv[a] * dinv[b], dinv[a] * dinv[b]])
         rows = np.concatenate([a, b])

@@ -326,6 +326,8 @@ def test_13_determinism_across_worker_counts(tmp_path):
         b_dir.mkdir()
         ra = _run_cli(args, a_dir, threads=1)
         rb = _run_cli(args, b_dir, threads=3)
+        assert ra.returncode == 0, f"{name} (1 worker): {ra.stderr}"
+        assert rb.returncode == 0, f"{name} (3 workers): {rb.stderr}"
         same = (ra.returncode == rb.returncode == 0
                 and (a_dir / out_name).read_bytes() == (b_dir / out_name).read_bytes())
         # replaying the recorded manifest reproduces the bytes again
@@ -333,6 +335,7 @@ def test_13_determinism_across_worker_counts(tmp_path):
         c_dir = tmp_path / f"{name}-c"
         c_dir.mkdir()
         rc = _run_cli(list(manifest["argv"]), c_dir, threads=2)
+        assert rc.returncode == 0, f"{name} (manifest replay): {rc.stderr}"
         same = same and rc.returncode == 0 and (
             (a_dir / out_name).read_bytes() == (c_dir / out_name).read_bytes())
         all_ok = all_ok and same

@@ -40,6 +40,15 @@ class TestSolve:
         assert abs(out["zeta"] - out["xi"]) <= 2e-10
         assert out["functional"]["mean"] == 1.0
 
+    def test_unreachable_tol_exits_one(self, tmp_path):
+        res = run_cli(["solve", "--rho", "2", "--tol", "1e-20", "--trees", "2000",
+                       "--seed", "1"], tmp_path)
+        assert res.returncode == 1, res.stderr
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
+        assert "tol=1e-20" in lines[0]
+
     def test_flag_error_exits_two(self, tmp_path):
         res = run_cli(["solve", "--rho"], tmp_path)
         assert res.returncode == 2, res.stderr
@@ -188,8 +197,29 @@ class TestOtherCommands:
         manifest = json.loads((tmp_path / "custom.json").read_text())
         assert manifest["command"] == "capacity"
 
+    def test_trial_failure_exits_one(self, tmp_path):
+        # rho > n makes every trial's edge probability exceed 1
+        res = run_cli(["size-check", "--n", "10", "--rho", "20", "--u", "0.3",
+                       "--trials", "2", "--seed", "1"], tmp_path)
+        assert res.returncode == 1, res.stderr
+        assert "Traceback" not in res.stderr
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
+
     def test_unknown_command_exits_two(self, tmp_path):
         res = run_cli(["frobnicate"], tmp_path)
         assert res.returncode == 2, res.stderr
         assert "usage: vacantlab" in res.stderr
         assert "invalid choice: 'frobnicate'" in res.stderr
+
+
+class TestImportPath:
+    def test_cli_import_loads_no_heavy_scipy(self, tmp_path):
+        # scipy submodules load only inside the functions that call them
+        heavy = ["scipy.stats", "scipy.special", "scipy.linalg", "scipy.sparse"]
+        code = ("import sys, vacantlab.cli; "
+                f"print(' '.join(m for m in {heavy!r} if m in sys.modules))")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             cwd=tmp_path, env=cli_env())
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == []

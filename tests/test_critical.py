@@ -33,6 +33,12 @@ class TestSolveXi:
         with pytest.raises(ValueError, match="subcritical"):
             critical.solve_xi(0.5)
 
+    def test_tolerance_below_float_resolution_raises(self):
+        # next to xi(2) ~ 0.797 (float spacing ~1.1e-16) the float residual
+        # never gets below 1e-20, so the solver must say so, not return.
+        with pytest.raises(ValueError, match=r"tol=1e-20.*max_iter=200"):
+            critical.solve_xi(2.0, tol=1e-20)
+
     def test_existence_chain_identity(self):
         # rho*(1 - xi) < 1 guarantees a sign change for the critical solve
         for rho in (1.2, 1.5, 2.0, 3.0, 5.0):
