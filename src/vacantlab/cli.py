@@ -81,22 +81,18 @@ def _cmd_solve(args) -> list[str]:
     xi = critical.solve_xi(args.rho, args.tol)
     caps = gw.capacity_samples(args.rho, args.radius, args.trees, root.substream(901))
     u_star = critical.solve_u_star(args.rho, caps.functional)
-    solution = critical.CriticalSolution(
-        rho=args.rho, xi=xi, u_star=u_star,
-        functional_at={args.u: caps.functional(args.u)} if args.u is not None else {},
-        solver_tolerance=args.tol)
     out = {
-        "rho": solution.rho,
-        "xi": solution.xi,
+        "rho": args.rho,
+        "xi": xi,
         "u_star": {"value": u_star.u_star, "ci95_low": u_star.ci_low, "ci95_high": u_star.ci_high},
         "zeta": None,
         "functional": None,
-        "tol": solution.solver_tolerance,
+        "tol": args.tol,
         "trees": args.trees,
         "radius": args.radius,
     }
     if args.u is not None:
-        est = solution.functional_at[args.u]
+        est = caps.functional(args.u)
         out["functional"] = _estimate_dict(est)
         mu = args.rho * (xi * est.mean + 1.0 - xi)
         out["zeta"] = critical.solve_zeta(args.u, args.rho, est.mean, args.tol) if mu > 1.0 else 0.0
@@ -157,7 +153,6 @@ def _cmd_capacity(args) -> list[str]:
         "estimate": est.estimate.mean,
         "ci": [est.estimate.ci95_low, est.estimate.ci95_high],
         "estimate_at_radius_minus_5": diag.mean if diag else None,
-        "n_aborted_trees": est.n_aborted_trees,
         "radius": est.radius,
         "trees": est.n_trees,
     }

@@ -1,6 +1,7 @@
 """Scalar fixed-point and root solvers for the branching-process survival
 probability, the critical walk intensity, and the predicted vacant giant
-fraction, plus the algebraic identities tying them together.
+fraction, plus the closed-form vacant mean degree and vacant fraction
+predictions built on them.
 
 All deterministic equations are solved by bisection: the residuals are
 cheap, the brackets are certain, and Monte Carlo noise in the capacity
@@ -23,17 +24,6 @@ class UStarResult:
     u_star: float
     ci_low: float
     ci_high: float
-
-
-@dataclass
-class CriticalSolution:
-    """Bundle of the solved critical quantities for one mean-degree value."""
-
-    rho: float
-    xi: float
-    u_star: UStarResult
-    functional_at: dict
-    solver_tolerance: float
 
 
 def _bisect(f, lo: float, hi: float, tol: float, max_iter: int = 200) -> float:
@@ -70,30 +60,6 @@ def solve_xi(rho: float, tol: float = DEFAULT_TOL) -> float:
     # g(x) = exp(-rho x) - 1 + x is < 0 on (0, xi) and > 0 on (xi, 1).
     g = lambda x: math.exp(-rho * x) - 1.0 + x
     return _bisect(lambda x: -g(x), 1e-16, 1.0 - 1e-16, tol)
-
-
-def extinction_probability(rho: float, tol: float = DEFAULT_TOL) -> float:
-    """1 - solve_xi(rho): the probability the branching process dies out."""
-    return 1.0 - solve_xi(rho, tol)
-
-
-def offspring_pgf(s: float, rho: float) -> float:
-    """Probability generating function of the Poisson(rho) offspring law."""
-    return math.exp(rho * (s - 1.0))
-
-
-def survivor_offspring_pgf(s: float, rho: float, xi: float) -> float:
-    """Generating function of the offspring count inside the subtree of
-    lines of descent that never die out: (exp(rho*xi*(s-1)) - q)/(1-q)
-    with q = exp(-rho*xi)."""
-    q = math.exp(-rho * xi)
-    return (math.exp(rho * xi * (s - 1.0)) - q) / (1.0 - q)
-
-
-def survivor_pgf_inverse_derivative(t: float, rho: float, xi: float) -> float:
-    """Closed form for the derivative of the inverse of the survivor
-    offspring pgf: 1 / (rho*xi*t + rho*(1-xi))."""
-    return 1.0 / (rho * xi * t + rho * (1.0 - xi))
 
 
 def residual(u_functional_value: float, rho: float, xi: float) -> float:

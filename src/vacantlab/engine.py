@@ -146,36 +146,6 @@ def ks_uniform_pvalue(samples) -> float:
     return float(kolmogorov(math.sqrt(n) * d))
 
 
-def binomial_two_sided_pvalue(k: int, m: int, p: float, *, exact_threshold: int = 100_000) -> float:
-    """Two-sided p-value for k successes in m trials at success rate p.
-
-    Exact (minimum-likelihood) method up to ``exact_threshold`` trials,
-    normal approximation with continuity correction above it.
-    """
-    k = int(k)
-    m = int(m)
-    if m < 0 or not (0 <= k <= m):
-        raise ValueError(f"need 0 <= k <= m, got k={k}, m={m}")
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"need 0 <= p <= 1, got p={p}")
-    if p == 0.0:
-        return 1.0 if k == 0 else 0.0
-    if p == 1.0:
-        return 1.0 if k == m else 0.0
-    if m == 0:
-        return 1.0
-    if m <= exact_threshold:
-        from scipy.stats import binomtest
-
-        return float(binomtest(k, m, p).pvalue)
-    mu = m * p
-    sigma = math.sqrt(m * p * (1.0 - p))
-    z = (abs(k - mu) - 0.5) / sigma
-    if z <= 0.0:
-        return 1.0
-    return float(min(1.0, math.erfc(z / math.sqrt(2.0))))
-
-
 def worker_count(n_trials: int, max_workers: int | None = None) -> int:
     """Effective worker count: capped by VACANTLAB_THREADS when set,
     otherwise all available cores."""

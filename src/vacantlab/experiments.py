@@ -165,19 +165,18 @@ class SizeRelationReport:
 class _SizeTrialConfig:
     n: int
     rho: float
-    t_walk: int
-    t_explore: int
+    t: int
     mode: str
 
 
 def _size_trial(cfg: _SizeTrialConfig, stream: RngStream) -> int:
     if cfg.mode == "explore":
         state = exploration.new_exploration(cfg.n, cfg.rho, stream.substream(0))
-        exploration.run_to(state, cfg.t_explore)
+        exploration.run_to(state, cfg.t)
         return state.unvisited_count
     g = sample_er(cfg.n, cfg.rho, stream.substream(0))
     comp = giant_vertices(components(g))
-    vac = walk.run_walk_vacant(g, comp, cfg.t_walk, stream.substream(1))
+    vac = walk.run_walk_vacant(g, comp, cfg.t, stream.substream(1))
     return vac.size
 
 
@@ -187,11 +186,13 @@ def size_relation_check(n: int, rho: float, u: float, n_trials: int, root: RngSt
     """Independent exploration and walk runs at the same intensity; their
     mean vacant sizes should differ by the mass of the non-giant
     components, (1-xi)*n."""
+    if n_trials < 1:
+        raise ValueError("n_trials must be positive")
     xi = critical.solve_xi(rho)
     t = walk.walk_time(u, rho, xi, n)
     extra = exploration.default_burn_in(n) if burn_in is None else burn_in
-    cfg_e = _SizeTrialConfig(n=n, rho=rho, t_walk=t, t_explore=t + extra, mode="explore")
-    cfg_w = _SizeTrialConfig(n=n, rho=rho, t_walk=t, t_explore=t + extra, mode="walk")
+    cfg_e = _SizeTrialConfig(n=n, rho=rho, t=t + extra, mode="explore")
+    cfg_w = _SizeTrialConfig(n=n, rho=rho, t=t, mode="walk")
     vbars = run_trials(cfg_e, n_trials, _size_trial, root=root.substream(1), max_workers=max_workers)
     vs = run_trials(cfg_w, n_trials, _size_trial, root=root.substream(2), max_workers=max_workers)
     mean_vbar = float(np.mean(vbars))
@@ -303,19 +304,6 @@ def hitting_and_vacancy_report(n: int, rho: float, u: float, n_vertices_probed: 
                                 mean_abs_error=mean_err)
 
 
-@dataclass(frozen=True)
-class _CrossingTrialConfig:
-    n: int
-    rho: float
-    t: int
-
-
-def _crossing_trial(cfg: _CrossingTrialConfig, stream: RngStream) -> int:
-    state = exploration.new_exploration(cfg.n, cfg.rho, stream.substream(0))
-    exploration.run_to(state, cfg.t)
-    return state.unvisited_count
-
-
 def exploration_mean_degree_at(n: int, rho: float, u: float, n_trials: int,
                                root: RngStream, *, burn_in: int | None = None,
                                max_workers: int | None = None) -> float:
@@ -323,8 +311,8 @@ def exploration_mean_degree_at(n: int, rho: float, u: float, n_trials: int,
     the intensity's time plus burn-in."""
     xi = critical.solve_xi(rho)
     t = walk.walk_time(u, rho, xi, n) + (exploration.default_burn_in(n) if burn_in is None else burn_in)
-    cfg = _CrossingTrialConfig(n=n, rho=rho, t=t)
-    sizes = run_trials(cfg, n_trials, _crossing_trial, root=root, max_workers=max_workers)
+    cfg = _SizeTrialConfig(n=n, rho=rho, t=t, mode="explore")
+    sizes = run_trials(cfg, n_trials, _size_trial, root=root, max_workers=max_workers)
     return float(np.mean(sizes)) * rho / n
 
 

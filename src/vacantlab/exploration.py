@@ -25,7 +25,7 @@ import numpy as np
 
 from . import critical, walk
 from ._gof import chisq_pvalue_counts_vs_probs
-from .engine import as_generator, ks_uniform_pvalue
+from .engine import RngStream, as_generator, ks_uniform_pvalue, run_trials
 from .random_graph import Graph, sample_er
 
 _BLOCK = 1 << 13
@@ -261,7 +261,30 @@ def _binomial_pit(k: int, m: int, p: float, unif: float) -> float:
     return min(1.0, max(0.0, sf + unif * pmf))
 
 
-def er_law_check(n: int, rho: float, u: float, n_trials: int, rng,
+@dataclass(frozen=True)
+class _ErTrialConfig:
+    n: int
+    rho: float
+    t: int
+
+
+def _er_trial(cfg: _ErTrialConfig, stream: RngStream) -> tuple:
+    """One exploration to time cfg.t and one snapshot of its vacant graph:
+    the vacant vertex count, the randomized PIT of the snapshot's edge
+    count and its degree histogram (both None when p = 0 or fewer than two
+    vertices are vacant)."""
+    state = run_to(new_exploration(cfg.n, cfg.rho, stream.substream(0)), cfg.t)
+    gen = stream.substream(1).generator()
+    snap = vacant_snapshot(state, gen)
+    big_n = len(snap.vertices)
+    p = cfg.rho / cfg.n
+    if p <= 0.0 or big_n < 2:
+        return big_n, None, None
+    pit = _binomial_pit(snap.graph.m, big_n * (big_n - 1) // 2, p, float(gen.random()))
+    return big_n, pit, np.bincount(snap.graph.degrees())
+
+
+def er_law_check(n: int, rho: float, u: float, n_trials: int, root: RngStream,
                  burn_in: int | None = None) -> ErLawReport:
     """Statistical check that the vacant graph is a fresh random graph.
 
@@ -272,51 +295,39 @@ def er_law_check(n: int, rho: float, u: float, n_trials: int, rng,
     degree mixture by chi-square. Also reports the mean vacant vertex
     fraction and the mean vacant-graph degree, the quantity whose
     crossing of 1 locates the critical intensity.
+
+    Trials run through ``engine.run_trials``: trial i draws only from its
+    own stream, so any trial replays alone and the report is identical
+    for every worker count.
     """
     if n_trials < 50:
         raise ValueError("need at least 50 trials")
     from scipy.stats import binom
 
-    gen = as_generator(rng)
     if rho > 1.0:
         xi = critical.solve_xi(rho)
         t = walk.walk_time(u, rho, xi, n) + (default_burn_in(n) if burn_in is None else burn_in)
     else:
         t = default_burn_in(n) if burn_in is None else burn_in
     p = rho / n
-    pit_values = []
-    sizes = []
-    degree_hist = np.zeros(1, dtype=np.int64)
-    degree_mix = []  # per-trial vertex counts for the expected degree mixture
-    for _ in range(n_trials):
-        state = new_exploration(n, rho, gen)
-        run_to(state, t)
-        snap = vacant_snapshot(state, gen)
-        big_n = len(snap.vertices)
-        sizes.append(big_n)
-        if p > 0.0 and big_n >= 2:
-            pairs = big_n * (big_n - 1) // 2
-            pit_values.append(_binomial_pit(snap.graph.m, pairs, p, float(gen.random())))
-            degs = snap.graph.degrees()
-            hi = int(degs.max(initial=0))
-            if hi + 1 > len(degree_hist):
-                degree_hist = np.concatenate([degree_hist, np.zeros(hi + 1 - len(degree_hist), dtype=np.int64)])
-            degree_hist[: hi + 1] += np.bincount(degs, minlength=hi + 1)[: len(degree_hist)]
-            degree_mix.append(big_n)
-    mean_fraction = float(np.mean(sizes)) / n
+    trials = run_trials(_ErTrialConfig(n=n, rho=rho, t=t), n_trials, _er_trial, root=root)
+    mean_fraction = float(np.mean([size for size, _, _ in trials])) / n
     mean_degree = mean_fraction * rho
-    if p <= 0.0 or not pit_values:
+    tested = [trial for trial in trials if trial[1] is not None]
+    if not tested:
         return ErLawReport(ks_pvalue_edges=None, degree_chisq_pvalue=None,
                            mean_vacant_fraction=mean_fraction,
                            mean_vacant_mean_degree=mean_degree,
                            n_trials=n_trials, edge_test_skipped=True,
                            note="edge test skipped: p=0")
-    ks_p = ks_uniform_pvalue(pit_values)
-    kmax = len(degree_hist) - 1
-    ks_grid = np.arange(kmax + 1)
-    probs = np.zeros(kmax + 1)
-    total_vertices = float(sum(degree_mix))
-    for big_n in degree_mix:
+    ks_p = ks_uniform_pvalue([pit for _, pit, _ in tested])
+    degree_hist = np.zeros(max(len(hist) for _, _, hist in tested), dtype=np.int64)
+    for _, _, hist in tested:
+        degree_hist[: len(hist)] += hist
+    ks_grid = np.arange(len(degree_hist))
+    probs = np.zeros(len(degree_hist))
+    total_vertices = float(sum(size for size, _, _ in tested))
+    for big_n, _, _ in tested:
         probs += (big_n / total_vertices) * binom.pmf(ks_grid, big_n - 1, p)
     chi_p = chisq_pvalue_counts_vs_probs(degree_hist, probs)
     return ErLawReport(ks_pvalue_edges=ks_p, degree_chisq_pvalue=chi_p,

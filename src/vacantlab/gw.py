@@ -273,7 +273,6 @@ class CapacitySamples:
     caps: np.ndarray
     diagnostic_radius: int | None
     caps_diagnostic: np.ndarray | None
-    n_aborted: int = 0
 
     def functional(self, u: float, diagnostic: bool = False) -> EstimateCI:
         caps = self.caps_diagnostic if diagnostic else self.caps
@@ -384,7 +383,6 @@ class FunctionalEstimate:
     estimate_at_radius_minus_5: EstimateCI | None
     radius: int
     n_trees: int
-    n_aborted_trees: int
 
 
 def mc_capacity_functional(u: float, rho: float, depth_cap: int, radius: int,
@@ -404,5 +402,4 @@ def mc_capacity_functional(u: float, rho: float, depth_cap: int, radius: int,
     est = samples.functional(u)
     diag = samples.functional(u, diagnostic=True) if samples.diagnostic_radius else None
     return FunctionalEstimate(estimate=est, estimate_at_radius_minus_5=diag,
-                              radius=radius, n_trees=n_trees,
-                              n_aborted_trees=samples.n_aborted)
+                              radius=radius, n_trees=n_trees)

@@ -252,24 +252,3 @@ def mean_giant_degree(g: Graph, labeling: ComponentLabeling) -> float:
         raise ValueError("giant component is empty")
     return float(g.degrees()[verts].sum()) / len(verts)
 
-
-def dump_edge_list(g: Graph, path) -> None:
-    """Write the graph as text: header "n m", then one "u v" line per edge."""
-    u, v = g.edge_arrays()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{g.n} {g.m}\n")
-        for a, b in zip(u.tolist(), v.tolist()):
-            fh.write(f"{a} {b}\n")
-
-
-def load_edge_list(path) -> Graph:
-    """Read a graph written by dump_edge_list."""
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        n, m = int(header[0]), int(header[1])
-        us = np.empty(m, dtype=np.int64)
-        vs = np.empty(m, dtype=np.int64)
-        for i in range(m):
-            a, b = fh.readline().split()
-            us[i], vs[i] = int(a), int(b)
-    return graph_from_edges(n, us, vs)

@@ -33,22 +33,6 @@ def walk_time(u: float, rho: float, xi: float, n: int) -> int:
     return int(math.floor(u * rho * (2.0 - xi) * xi * n + 0.5))
 
 
-@dataclass(frozen=True)
-class WalkConfig:
-    """Walk experiment parameters at the model's time scaling."""
-
-    u: float
-    rho: float
-    xi: float
-    n: int
-
-    def __post_init__(self):
-        walk_time(self.u, self.rho, self.xi, self.n)  # validates ranges
-
-    def steps(self) -> int:
-        return walk_time(self.u, self.rho, self.xi, self.n)
-
-
 def default_ball_radius(n: int, rho: float) -> int:
     """Ball radius used by the escape / vacancy diagnostics.
 
@@ -140,40 +124,6 @@ def stationary_start(g: Graph, component: np.ndarray, rng) -> int:
     return int(component[min(idx, len(component) - 1)])
 
 
-def _walk_visit(g: Graph, start: int, t: int, gen) -> np.ndarray:
-    """Vertices visited by a t-step walk from ``start`` (start included)."""
-    visited_flag = np.zeros(g.n, dtype=bool)
-    visited_flag[start] = True
-    if t <= 0 or g.degree(start) == 0:
-        return visited_flag
-    indptr = g.indptr.tolist()
-    indices = g.indices.tolist()
-    flags = visited_flag
-    cur = int(start)
-    remaining = t
-    while remaining > 0:
-        block = gen.random(min(_BLOCK, remaining)).tolist()
-        for unif in block:
-            lo = indptr[cur]
-            cur = indices[lo + int(unif * (indptr[cur + 1] - lo))]
-            flags[cur] = True
-        remaining -= len(block)
-    return visited_flag
-
-
-def run_walk_vacant(g: Graph, component: np.ndarray, t: int, rng) -> VacantSet:
-    """Run a stationary-start walk for t uniform-neighbor steps and return
-    the unvisited mask; the starting vertex counts as visited."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    gen = as_generator(rng)
-    start = stationary_start(g, component, gen)
-    visited = _walk_visit(g, start, t, gen)
-    membership = ~visited[component]
-    return VacantSet(component=np.asarray(component), membership=membership,
-                     size=int(membership.sum()))
-
-
 def run_walk_first_visits(g: Graph, component: np.ndarray, t: int, rng) -> np.ndarray:
     """First-visit times of a single t-step stationary-start walk, -1 for
     vertices never visited. Walk prefixes nest, so one run yields the
@@ -183,26 +133,30 @@ def run_walk_first_visits(g: Graph, component: np.ndarray, t: int, rng) -> np.nd
         raise ValueError("t must be nonnegative")
     gen = as_generator(rng)
     start = stationary_start(g, component, gen)
-    times = np.full(g.n, -1, dtype=np.int64)
+    times = [-1] * g.n
     times[start] = 0
-    if t == 0 or g.degree(start) == 0:
-        return times
-    indptr = g.indptr.tolist()
-    indices = g.indices.tolist()
-    tl = times
-    cur = int(start)
-    step = 0
-    remaining = t
-    while remaining > 0:
-        block = gen.random(min(_BLOCK, remaining)).tolist()
-        for unif in block:
-            step += 1
-            lo = indptr[cur]
-            cur = indices[lo + int(unif * (indptr[cur + 1] - lo))]
-            if tl[cur] < 0:
-                tl[cur] = step
-        remaining -= len(block)
-    return times
+    if t > 0 and g.degree(start) > 0:
+        indptr = g.indptr.tolist()
+        indices = g.indices.tolist()
+        cur = int(start)
+        step = 0
+        remaining = t
+        while remaining > 0:
+            block = gen.random(min(_BLOCK, remaining)).tolist()
+            for unif in block:
+                step += 1
+                lo = indptr[cur]
+                cur = indices[lo + int(unif * (indptr[cur + 1] - lo))]
+                if times[cur] < 0:
+                    times[cur] = step
+            remaining -= len(block)
+    return np.array(times, dtype=np.int64)
+
+
+def run_walk_vacant(g: Graph, component: np.ndarray, t: int, rng) -> VacantSet:
+    """Run a stationary-start walk for t uniform-neighbor steps and return
+    the unvisited mask; the starting vertex counts as visited."""
+    return vacant_from_first_visits(component, run_walk_first_visits(g, component, t, rng), t)
 
 
 def vacant_from_first_visits(component: np.ndarray, times: np.ndarray, s: int) -> VacantSet:
@@ -355,23 +309,7 @@ def vacancy_prediction_check(g: Graph, component: np.ndarray, x: int, r: int, t:
     gen = as_generator(rng)
     esc = escape_probability(g, component, x, r, n_walks, gen)
     predicted = math.exp(-t * esc.p_escape.mean * esc.pi_x)
-    starts = _stationary_starts(g, component, n_walks, gen)
-    hit = starts == x
-    cur = starts.copy()
-    indptr, indices, deg = g.indptr, g.indices, g.degrees()
-    alive_idx = np.flatnonzero(~hit)
-    cur = cur[alive_idx]
-    for _ in range(t):
-        if len(alive_idx) == 0:
-            break
-        cur = _step_all(indptr, indices, deg, cur, gen)
-        hits = cur == x
-        if hits.any():
-            hit[alive_idx[hits]] = True
-            keep = ~hits
-            alive_idx = alive_idx[keep]
-            cur = cur[keep]
-    empirical = float(1.0 - hit.mean())
+    empirical = float(estimate_hitting_tail(g, component, x, [t], n_walks, gen).tail[-1])
     return VacancyCheck(vertex=int(x), t=int(t), empirical=empirical,
                         predicted=predicted, p_escape=esc)
 

@@ -1,10 +1,15 @@
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 from conftest import cli_env
 
 CLI = [sys.executable, "-m", "vacantlab.cli"]
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def run_cli(args, cwd, env_extra=None):
@@ -149,7 +154,7 @@ class TestCapacity:
         out = json.loads(res.stdout)
         assert out["estimate"] == 1.0
         assert out["ci"] == [1.0, 1.0]
-        assert out["n_aborted_trees"] == 0
+        assert "n_aborted_trees" not in out
 
     def test_radius_truncation_error(self, tmp_path):
         res = run_cli(["capacity", "--rho", "2", "--u", "0.3", "--trees", "100",
@@ -206,6 +211,12 @@ class TestOtherCommands:
         lines = res.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
 
+    def test_size_check_zero_trials_exits_one(self, tmp_path):
+        res = run_cli(["size-check", "--n", "2000", "--rho", "2", "--u", "0.3",
+                       "--trials", "0", "--seed", "1"], tmp_path)
+        assert res.returncode == 1, res.stderr
+        assert res.stderr.splitlines() == ["error: n_trials must be positive"]
+
     def test_unknown_command_exits_two(self, tmp_path):
         res = run_cli(["frobnicate"], tmp_path)
         assert res.returncode == 2, res.stderr
@@ -223,3 +234,35 @@ class TestImportPath:
                              cwd=tmp_path, env=cli_env())
         assert res.returncode == 0, res.stderr
         assert res.stdout.split() == []
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", PERFBENCH / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchmarkTrace:
+    """The benchmark's tracer wraps library functions by name and its run
+    fails when one of them is gone; each benchmark command must still run
+    traced, at small sizes."""
+
+    @pytest.mark.parametrize("args", [
+        ["solve", "--rho", "2", "--u", "0.3", "--trees", "2000", "--depth", "20", "--radius", "10"],
+        ["simulate", "--n", "2000", "--rho", "2", "--u-min", "0", "--u-max", "1", "--u-steps", "3",
+         "--trials", "2", "--trees", "2000"],
+        ["size-check", "--n", "2000", "--rho", "2", "--u", "0.3", "--trials", "2"],
+        ["hitting", "--n", "2000", "--rho", "2", "--u", "0.3", "--vertices", "1", "--walks", "100"],
+    ], ids=lambda args: args[0])
+    def test_traced_run(self, tmp_path, args):
+        report_path = tmp_path / "report.json"
+        env = cli_env()
+        env["VACANTLAB_THREADS"] = "1"
+        res = subprocess.run([sys.executable, str(PERFBENCH / "child.py"), str(report_path), "0",
+                              "--", *args, "--seed", "1"],
+                             capture_output=True, text=True, cwd=tmp_path, env=env)
+        assert res.returncode == 0, res.stderr
+        spans = json.loads(report_path.read_text())["spans"]
+        assert spans
+        assert _load_tracer().layer_metrics(spans)["cli.main.total_s"] > 0

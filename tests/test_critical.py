@@ -25,7 +25,7 @@ class TestSolveXi:
         rho = 2.0
         xi = critical.solve_xi(rho)
         q = 1 - xi
-        assert abs(critical.offspring_pgf(q, rho) - q) <= 1e-10
+        assert abs(math.exp(rho * (q - 1.0)) - q) <= 1e-10
 
     def test_subcritical_errors(self):
         with pytest.raises(ValueError, match="subcritical"):
@@ -104,38 +104,6 @@ class TestSolveUStar:
     def test_subcritical_rejected(self):
         with pytest.raises(ValueError, match="subcritical"):
             critical.solve_u_star(0.9, lambda u: aggregate([1.0]))
-
-
-class TestSurvivorPgf:
-    def test_inverse_derivative_closed_form(self):
-        # numerical inversion + finite differences vs the closed form
-        rho = 2.0
-        xi = critical.solve_xi(rho)
-
-        def pgf(s):
-            return critical.survivor_offspring_pgf(s, rho, xi)
-
-        def invert(t):
-            lo, hi = 0.0, 1.0
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if pgf(mid) < t:
-                    lo = mid
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi)
-
-        h = 1e-6
-        for t in (0.1, 0.5, 0.9):
-            numeric = (invert(t + h) - invert(t - h)) / (2 * h)
-            closed = critical.survivor_pgf_inverse_derivative(t, rho, xi)
-            assert abs(numeric - closed) <= 1e-8 * max(1.0, abs(closed)) + 1e-8
-
-    def test_pgf_boundary_values(self):
-        rho = 2.0
-        xi = critical.solve_xi(rho)
-        assert critical.survivor_offspring_pgf(1.0, rho, xi) == pytest.approx(1.0, abs=1e-12)
-        assert critical.survivor_offspring_pgf(0.0, rho, xi) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestPredictions:

@@ -9,7 +9,6 @@ from vacantlab.engine import (
     EstimateCI,
     TrialError,
     aggregate,
-    binomial_two_sided_pvalue,
     derive_stream,
     ks_uniform_pvalue,
     run_trials,
@@ -161,28 +160,3 @@ class TestKsUniform:
             ks_uniform_pvalue([0.1, 1.2])
         with pytest.raises(ValueError):
             ks_uniform_pvalue([])
-
-
-class TestBinomialPvalue:
-    def test_mode_gives_one(self):
-        assert binomial_two_sided_pvalue(5, 10, 0.5) == 1.0
-
-    def test_exact_tail(self):
-        assert binomial_two_sided_pvalue(0, 10, 0.5) == pytest.approx(2 / 1024, rel=1e-12)
-
-    def test_degenerate_p(self):
-        assert binomial_two_sided_pvalue(20, 20, 1.0) == 1.0
-        assert binomial_two_sided_pvalue(19, 20, 1.0) == 0.0
-        assert binomial_two_sided_pvalue(0, 20, 0.0) == 1.0
-
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            binomial_two_sided_pvalue(5, 4, 0.5)
-        with pytest.raises(ValueError):
-            binomial_two_sided_pvalue(1, 4, 1.5)
-
-    def test_normal_approximation_close_to_exact(self):
-        k, m, p = 45_200, 90_000, 0.5
-        exact = binomial_two_sided_pvalue(k, m, p)
-        approx = binomial_two_sided_pvalue(k, m, p, exact_threshold=10)
-        assert approx == pytest.approx(exact, rel=0.05)

@@ -10,10 +10,8 @@ from vacantlab.engine import derive_stream
 from vacantlab.random_graph import (
     ComponentLabeling,
     components,
-    dump_edge_list,
     giant,
     giant_vertices,
-    load_edge_list,
     mean_giant_degree,
     sample_er,
     typicality,
@@ -186,16 +184,3 @@ class TestMeanGiantDegree:
             g = sample_er(n, rho, root.substream(i))
             vals.append(mean_giant_degree(g, components(g)))
         assert abs(np.mean(vals) - rho * (2 - xi)) <= 0.02
-
-
-class TestEdgeListFormat:
-    def test_round_trip(self, tmp_path):
-        g = sample_er(60, 1.8, derive_stream(8, 8))
-        path = tmp_path / "graph.txt"
-        dump_edge_list(g, path)
-        first = path.read_text().splitlines()[0]
-        assert first == f"{g.n} {g.m}"
-        g2 = load_edge_list(path)
-        assert g2.n == g.n and g2.m == g.m
-        assert np.array_equal(g2.indptr, g.indptr)
-        assert np.array_equal(g2.indices, g.indices)

@@ -49,12 +49,6 @@ class TestWalkTime:
         with pytest.raises(ValueError):
             walk_time(0.1, 0.9, 0.5, 10)
 
-    def test_config_bundle(self):
-        cfg = walk.WalkConfig(u=1.0, rho=2.0, xi=0.5, n=100)
-        assert cfg.steps() == 150
-        with pytest.raises(ValueError):
-            walk.WalkConfig(u=-1.0, rho=2.0, xi=0.5, n=100)
-
 
 class TestStationaryStart:
     def test_single_vertex_component(self):
