@@ -62,16 +62,6 @@ def _write_manifest(command: str, args: argparse.Namespace, argv: list[str],
         fh.write(json.dumps(asdict(manifest), **_JSON_KW) + "\n")
 
 
-def _estimate_dict(est) -> dict:
-    return {
-        "mean": est.mean,
-        "std_error": est.std_error,
-        "n_samples": est.n_samples,
-        "ci95_low": est.ci95_low,
-        "ci95_high": est.ci95_high,
-    }
-
-
 def _cmd_solve(args) -> list[str]:
     if args.rho <= 1.0:
         raise ValueError("subcritical: rho must exceed 1")
@@ -93,9 +83,9 @@ def _cmd_solve(args) -> list[str]:
     }
     if args.u is not None:
         est = caps.functional(args.u)
-        out["functional"] = _estimate_dict(est)
-        mu = args.rho * (xi * est.mean + 1.0 - xi)
-        out["zeta"] = critical.solve_zeta(args.u, args.rho, est.mean, args.tol) if mu > 1.0 else 0.0
+        out["functional"] = asdict(est)
+        supercritical = critical.vacant_mean_degree(args.rho, xi, est.mean) > 1.0
+        out["zeta"] = critical.solve_zeta(args.u, args.rho, est.mean, args.tol) if supercritical else 0.0
     return _emit(out, getattr(args, "out", None))
 
 
@@ -164,32 +154,13 @@ def _cmd_hitting(args) -> list[str]:
     report = experiments.hitting_and_vacancy_report(
         args.n, args.rho, args.u, args.vertices, root,
         n_walks=args.walks, radius=args.radius)
-    out = {
-        "n": report.n,
-        "rho": report.rho,
-        "u": report.u,
-        "t_steps": report.t_steps,
-        "radius": report.radius,
-        "mean_abs_error": report.mean_abs_error,
-        "rows": [asdict(r) for r in report.rows],
-    }
-    return _emit(out, args.out)
+    return _emit(asdict(report), args.out)
 
 
 def _cmd_size_check(args) -> list[str]:
     root = derive_stream(args.seed, 0)
     report = experiments.size_relation_check(args.n, args.rho, args.u, args.trials, root)
-    out = {
-        "mean_vbar": report.mean_vbar,
-        "mean_v": report.mean_v,
-        "gap": report.gap,
-        "predicted_gap": report.predicted_gap,
-        "n": report.n,
-        "rho": report.rho,
-        "u": report.u,
-        "n_trials": report.n_trials,
-    }
-    return _emit(out, getattr(args, "out", None))
+    return _emit(asdict(report), getattr(args, "out", None))
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:

@@ -1,7 +1,6 @@
 """Scalar fixed-point and root solvers for the branching-process survival
 probability, the critical walk intensity, and the predicted vacant giant
-fraction, plus the closed-form vacant mean degree and vacant fraction
-predictions built on them.
+fraction, plus the closed-form vacant mean degree they all rest on.
 
 All deterministic equations are solved by bisection: the residuals are
 cheap, the brackets are certain, and Monte Carlo noise in the capacity
@@ -10,6 +9,7 @@ functional would break derivative-based methods.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -47,6 +47,7 @@ def _bisect(f, lo: float, hi: float, tol: float, max_iter: int = 200) -> float:
                      f"iterations (bracket [{lo!r}, {hi!r}])")
 
 
+@functools.lru_cache(maxsize=None)
 def solve_xi(rho: float, tol: float = DEFAULT_TOL) -> float:
     """Survival probability of the mean-``rho`` Poisson branching process:
     the unique solution in (0,1) of exp(-rho*x) = 1 - x.
@@ -62,10 +63,17 @@ def solve_xi(rho: float, tol: float = DEFAULT_TOL) -> float:
     return _bisect(lambda x: -g(x), 1e-16, 1.0 - 1e-16, tol)
 
 
+def vacant_mean_degree(rho: float, xi: float, functional_value: float) -> float:
+    """Predicted mean degree of the exploration vacant graph,
+    rho*xi*F(u) + rho*(1-xi). Crosses 1 exactly at the critical intensity;
+    the vacant graph has a giant component while it exceeds 1."""
+    return rho * xi * functional_value + rho * (1.0 - xi)
+
+
 def residual(u_functional_value: float, rho: float, xi: float) -> float:
-    """rho*xi*E[exp(-u*cap)] + rho*(1-xi) - 1: positive below the critical
-    intensity, negative above it."""
-    return rho * xi * u_functional_value + rho * (1.0 - xi) - 1.0
+    """Vacant mean degree minus 1: positive below the critical intensity,
+    negative above it."""
+    return vacant_mean_degree(rho, xi, u_functional_value) - 1.0
 
 
 def solve_u_star(rho: float, functional, tol_u: float = 1e-6, *, u_max_cap: float = 1024.0) -> UStarResult:
@@ -116,22 +124,8 @@ def solve_zeta(u: float, rho: float, functional_value: float, tol: float = DEFAU
     intensity); callers should report 0 in the subcritical regime.
     """
     xi = solve_xi(rho, tol)
-    mu = rho * xi * functional_value + rho * (1.0 - xi)
+    mu = vacant_mean_degree(rho, xi, functional_value)
     if mu <= 1.0:
         raise ValueError("subcritical: zeta = 0 regime")
     g = lambda z: math.exp(-mu * z) - 1.0 + z
     return _bisect(lambda z: -g(z), 1e-16, 1.0 - 1e-16, tol)
-
-
-def vacant_mean_degree(u: float, rho: float, functional_value: float) -> float:
-    """Predicted mean degree of the exploration vacant graph:
-    rho * (xi*F(u) + 1 - xi). Crosses 1 exactly at the critical intensity."""
-    xi = solve_xi(rho)
-    return rho * (xi * functional_value + 1.0 - xi)
-
-
-def predicted_vacant_fraction(u: float, rho: float, functional_value: float) -> float:
-    """Predicted walk vacant-set fraction of n: xi * F(u)."""
-    if not (0.0 <= functional_value <= 1.0):
-        raise ValueError("functional_value must lie in [0, 1]")
-    return solve_xi(rho) * functional_value

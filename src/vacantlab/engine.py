@@ -99,14 +99,6 @@ class EstimateCI:
     ci95_low: float
     ci95_high: float
 
-    @property
-    def degenerate(self) -> bool:
-        """True when the interval carries no information (single sample)."""
-        return self.n_samples < 2
-
-    def half_width(self) -> float:
-        return 1.96 * self.std_error
-
 
 def aggregate(samples) -> EstimateCI:
     """Mean, standard error (sample sd / sqrt(n)) and 95% normal CI.

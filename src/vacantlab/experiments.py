@@ -1,6 +1,6 @@
 """Composite experiments: intensity sweeps of the vacant component
-structure, the exploration-vs-walk size relation, second-component
-scaling, and the per-vertex vacancy / hitting-tail diagnostics.
+structure, the exploration-vs-walk size relation, and the per-vertex
+vacancy / hitting-tail diagnostics.
 
 Every experiment is a pure function of (parameters, root stream); trials
 parallelize through engine.run_trials and stay byte-identical across
@@ -103,13 +103,6 @@ def _sweep_trial(cfg: _SweepTrialConfig, stream: RngStream) -> list[tuple]:
     return rows
 
 
-def shared_capacity_samples(rho: float, root: RngStream, n_trees: int = DEFAULT_N_TREES,
-                            radius: int = DEFAULT_RADIUS) -> gw.CapacitySamples:
-    """Capacity sample set reused across a whole experiment, so that the
-    functional is evaluated with common random numbers at every u."""
-    return gw.capacity_samples(rho, radius, n_trees, root.substream(901))
-
-
 def sweep_vacant_structure(n: int, rho: float, u_grid, n_trials: int, root: RngStream,
                            *, n_trees: int = DEFAULT_N_TREES, radius: int = DEFAULT_RADIUS,
                            caps: gw.CapacitySamples | None = None,
@@ -117,20 +110,22 @@ def sweep_vacant_structure(n: int, rho: float, u_grid, n_trials: int, root: RngS
     """Per (u, trial): sample a graph, walk its giant component to the
     intensity's time, and record the vacant component structure next to
     the tree-model predictions (functional evaluated once on a shared
-    capacity sample set)."""
+    capacity sample set, so every u sees common random numbers)."""
+    if n_trials < 1:
+        raise ValueError("n_trials must be positive")
     u_grid = [float(u) for u in u_grid]
     if any(u < 0 for u in u_grid) or sorted(u_grid) != u_grid:
         raise ValueError("u_grid must be nonnegative and ascending")
     xi = critical.solve_xi(rho)
     if caps is None:
-        caps = shared_capacity_samples(rho, root, n_trees, radius)
+        caps = gw.capacity_samples(rho, radius, n_trees, root.substream(901))
     zeta_by_u = []
     fraction_by_u = []
     t_by_u = []
     for u in u_grid:
         f_u = caps.functional(u).mean
-        mu = rho * (xi * f_u + 1.0 - xi)
-        zeta_by_u.append(critical.solve_zeta(u, rho, f_u) if mu > 1.0 else 0.0)
+        supercritical = critical.vacant_mean_degree(rho, xi, f_u) > 1.0
+        zeta_by_u.append(critical.solve_zeta(u, rho, f_u) if supercritical else 0.0)
         fraction_by_u.append(xi * f_u)
         t_by_u.append(walk.walk_time(u, rho, xi, n))
     cfg = _SweepTrialConfig(n=n, rho=rho, u_grid=tuple(u_grid), t_by_u=tuple(t_by_u),
@@ -203,44 +198,6 @@ def size_relation_check(n: int, rho: float, u: float, n_trials: int, root: RngSt
 
 
 @dataclass(frozen=True)
-class SecondComponentReport:
-    n: int
-    rho: float
-    u: float
-    n_trials: int
-    supercritical: bool
-    max_tracked: int
-    ratio_log7n: float
-    ratio_n: float
-    max_c1: int
-    max_c2: int
-
-
-def second_component_check(n: int, rho: float, u: float, n_trials: int, root: RngStream,
-                           *, n_trees: int = DEFAULT_N_TREES, radius: int = DEFAULT_RADIUS,
-                           caps: gw.CapacitySamples | None = None,
-                           max_workers: int | None = None) -> SecondComponentReport:
-    """Largest small-scale vacant component over trials: the second
-    largest below the critical intensity, the largest above it, with its
-    ratio to log^7(n) and to n."""
-    xi = critical.solve_xi(rho)
-    if caps is None:
-        caps = shared_capacity_samples(rho, root, n_trees, radius)
-    f_u = caps.functional(u).mean
-    mu = rho * (xi * f_u + 1.0 - xi)
-    supercritical = mu > 1.0
-    records = sweep_vacant_structure(n, rho, [u], n_trials, root, caps=caps,
-                                     max_workers=max_workers)
-    max_c1 = max(r.c1_vacant for r in records)
-    max_c2 = max(r.c2_vacant for r in records)
-    tracked = max_c2 if supercritical else max_c1
-    return SecondComponentReport(n=n, rho=rho, u=u, n_trials=n_trials,
-                                 supercritical=supercritical, max_tracked=tracked,
-                                 ratio_log7n=tracked / math.log(n) ** 7,
-                                 ratio_n=tracked / n, max_c1=max_c1, max_c2=max_c2)
-
-
-@dataclass(frozen=True)
 class VertexVacancyRow:
     vertex: int
     degree: int
@@ -260,8 +217,8 @@ class HittingVacancyReport:
     u: float
     t_steps: int
     radius: int
-    rows: list
     mean_abs_error: float
+    rows: list
 
 
 def hitting_and_vacancy_report(n: int, rho: float, u: float, n_vertices_probed: int,
@@ -274,6 +231,8 @@ def hitting_and_vacancy_report(n: int, rho: float, u: float, n_vertices_probed: 
     inside the probed window."""
     if n > 100_000:
         raise ValueError("n capped at 1e5 for the probing report")
+    if n_vertices_probed < 1:
+        raise ValueError("n_vertices_probed must be positive")
     gen = as_generator(root.substream(3))
     xi = critical.solve_xi(rho)
     t = walk.walk_time(u, rho, xi, n)
@@ -299,9 +258,9 @@ def hitting_and_vacancy_report(n: int, rho: float, u: float, n_vertices_probed: 
             abs_error=abs(empirical - predicted),
             tail_ks_distance=ks_dist,
             censored_fraction=tailres.censored_fraction))
-    mean_err = float(np.mean([row.abs_error for row in rows])) if rows else 0.0
-    return HittingVacancyReport(n=n, rho=rho, u=u, t_steps=t, radius=r, rows=rows,
-                                mean_abs_error=mean_err)
+    mean_err = float(np.mean([row.abs_error for row in rows]))
+    return HittingVacancyReport(n=n, rho=rho, u=u, t_steps=t, radius=r,
+                                mean_abs_error=mean_err, rows=rows)
 
 
 def exploration_mean_degree_at(n: int, rho: float, u: float, n_trials: int,

@@ -58,9 +58,6 @@ class GWTree:
     def generation_sizes(self) -> np.ndarray:
         return np.bincount(self.depth, minlength=self.depth_cap + 1)
 
-    def children_of(self, v: int) -> np.ndarray:
-        return np.flatnonzero(self.parent == v)
-
 
 @dataclass(frozen=True)
 class CapacityResult:
@@ -80,11 +77,14 @@ def _positive_poisson(gen: np.random.Generator, lam: float, size: int) -> np.nda
     return out
 
 
-def _assemble(parents: list, depths: list, backbones: list, depth_cap: int, conditioned: bool) -> GWTree:
+def _assemble(parents: list, level_sizes: list, backbone: np.ndarray, depth_cap: int,
+              conditioned: bool) -> GWTree:
+    """Tree from its per-level parent arrays; nodes of one level are
+    contiguous, so depths follow from the level sizes alone."""
     return GWTree(
-        parent=np.concatenate(parents) if parents else np.array([-1], dtype=np.int64),
-        depth=np.concatenate(depths) if depths else np.array([0], dtype=np.int64),
-        backbone=np.concatenate(backbones) if backbones else np.array([conditioned]),
+        parent=np.concatenate(parents),
+        depth=np.repeat(np.arange(len(level_sizes)), level_sizes),
+        backbone=backbone,
         depth_cap=depth_cap,
         conditioned=conditioned,
     )
@@ -98,13 +98,10 @@ def sample_gw(rho: float, depth_cap: int, rng, node_budget: int = DEFAULT_NODE_B
         raise ValueError("depth_cap must be nonnegative")
     gen = as_generator(rng)
     parents = [np.array([-1], dtype=np.int64)]
-    depths = [np.array([0], dtype=np.int64)]
-    backbones = [np.array([False])]
+    level_sizes = [1]
     level = np.array([0], dtype=np.int64)
     total = 1
     for d in range(1, depth_cap + 1):
-        if len(level) == 0:
-            break
         counts = gen.poisson(rho, len(level))
         n_new = int(counts.sum())
         if n_new == 0:
@@ -112,18 +109,18 @@ def sample_gw(rho: float, depth_cap: int, rng, node_budget: int = DEFAULT_NODE_B
         total += n_new
         if total > node_budget:
             raise NodeBudgetExceeded(f"node budget {node_budget} exceeded at depth {d}")
-        parent_ids = np.repeat(level, counts)
-        ids = np.arange(total - n_new, total, dtype=np.int64)
-        parents.append(parent_ids)
-        depths.append(np.full(n_new, d, dtype=np.int64))
-        backbones.append(np.zeros(n_new, dtype=bool))
-        level = ids
-    return _assemble(parents, depths, backbones, depth_cap, conditioned=False)
+        parents.append(np.repeat(level, counts))
+        level_sizes.append(n_new)
+        level = np.arange(total - n_new, total, dtype=np.int64)
+    return _assemble(parents, level_sizes, np.zeros(total, dtype=bool), depth_cap, conditioned=False)
 
 
 def sample_gw_conditioned(rho: float, depth_cap: int, rng, node_budget: int = DEFAULT_NODE_BUDGET) -> GWTree:
     """Tree conditioned on non-extinction via the exact backbone
-    decomposition, truncated at depth_cap; the root is on the backbone."""
+    decomposition, truncated at depth_cap; the root is on the backbone.
+
+    Each level lists the backbone children of backbone nodes first, then
+    their doomed children, then the children of doomed nodes."""
     if rho <= 1.0:
         raise ValueError("subcritical: conditioning undefined")
     if depth_cap < 0:
@@ -133,41 +130,31 @@ def sample_gw_conditioned(rho: float, depth_cap: int, rng, node_budget: int = DE
     lam_backbone = rho * xi
     lam_doomed = rho * (1.0 - xi)
     parents = [np.array([-1], dtype=np.int64)]
-    depths = [np.array([0], dtype=np.int64)]
+    level_sizes = [1]
     backbones = [np.array([True])]
     level_ids = np.array([0], dtype=np.int64)
     level_backbone = np.array([True])
     total = 1
     for d in range(1, depth_cap + 1):
-        if len(level_ids) == 0:
-            break
         bb_ids = level_ids[level_backbone]
         dm_ids = level_ids[~level_backbone]
-        k_star = _positive_poisson(gen, lam_backbone, len(bb_ids)) if len(bb_ids) else np.zeros(0, dtype=np.int64)
-        k_bush = gen.poisson(lam_doomed, len(bb_ids)) if len(bb_ids) else np.zeros(0, dtype=np.int64)
-        k_doom = gen.poisson(lam_doomed, len(dm_ids)) if len(dm_ids) else np.zeros(0, dtype=np.int64)
-        new_parents = np.concatenate([
-            np.repeat(bb_ids, k_star),
-            np.repeat(bb_ids, k_bush),
-            np.repeat(dm_ids, k_doom),
-        ])
-        new_backbone = np.concatenate([
-            np.ones(int(k_star.sum()), dtype=bool),
-            np.zeros(int(k_bush.sum()) + int(k_doom.sum()), dtype=bool),
-        ])
+        k_star = _positive_poisson(gen, lam_backbone, len(bb_ids))
+        k_bush = gen.poisson(lam_doomed, len(bb_ids))
+        k_doom = gen.poisson(lam_doomed, len(dm_ids))
+        new_parents = np.repeat(np.concatenate([bb_ids, bb_ids, dm_ids]),
+                                np.concatenate([k_star, k_bush, k_doom]))
         n_new = len(new_parents)
         if n_new == 0:
             break
         total += n_new
         if total > node_budget:
             raise NodeBudgetExceeded(f"node budget {node_budget} exceeded at depth {d}")
-        ids = np.arange(total - n_new, total, dtype=np.int64)
+        level_backbone = np.arange(n_new) < int(k_star.sum())
         parents.append(new_parents)
-        depths.append(np.full(n_new, d, dtype=np.int64))
-        backbones.append(new_backbone)
-        level_ids = ids
-        level_backbone = new_backbone
-    return _assemble(parents, depths, backbones, depth_cap, conditioned=True)
+        level_sizes.append(n_new)
+        backbones.append(level_backbone)
+        level_ids = np.arange(total - n_new, total, dtype=np.int64)
+    return _assemble(parents, level_sizes, np.concatenate(backbones), depth_cap, conditioned=True)
 
 
 def sample_gw_rejection(rho: float, depth_cap: int, rng, node_budget: int = DEFAULT_NODE_BUDGET,

@@ -6,7 +6,7 @@ to qualify a sampled instance before walk experiments.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -80,7 +80,6 @@ class ComponentLabeling:
 
     label: np.ndarray
     sizes: np.ndarray
-    members: list = field(repr=False)
 
     @property
     def n_components(self) -> int:
@@ -174,7 +173,7 @@ def components(g: Graph) -> ComponentLabeling:
     """Exact connected components, relabeled canonically (size-descending,
     ties by smallest contained vertex)."""
     if g.n == 0:
-        return ComponentLabeling(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), [])
+        return ComponentLabeling(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
     from scipy.sparse.csgraph import connected_components
 
     _, raw = connected_components(g.to_sparse(), directed=False)
@@ -185,23 +184,15 @@ def components(g: Graph) -> ComponentLabeling:
     order = np.lexsort((np.arange(n_comp), -raw_sizes))
     relabel = np.empty(n_comp, dtype=np.int64)
     relabel[order] = np.arange(n_comp)
-    label = relabel[raw]
-    sizes = raw_sizes[order]
-    by_vertex = np.argsort(label, kind="stable")
-    bounds = np.cumsum(sizes)
-    members = np.split(by_vertex, bounds[:-1])
-    return ComponentLabeling(label=label, sizes=sizes, members=members)
-
-
-def giant(labeling: ComponentLabeling) -> int:
-    """Id of the largest component under the canonical tie-break."""
-    if labeling.n_components == 0:
-        raise ValueError("empty labeling")
-    return 0
+    return ComponentLabeling(label=relabel[raw], sizes=raw_sizes[order])
 
 
 def giant_vertices(labeling: ComponentLabeling) -> np.ndarray:
-    return labeling.members[giant(labeling)]
+    """Vertices of component 0, the giant under the canonical tie-break,
+    in ascending order."""
+    if labeling.n_components == 0:
+        raise ValueError("empty labeling")
+    return np.flatnonzero(labeling.label == 0)
 
 
 def typicality(
@@ -243,12 +234,3 @@ def typicality(
         max_degree=max_degree,
         largest_small_component=largest_small,
     )
-
-
-def mean_giant_degree(g: Graph, labeling: ComponentLabeling) -> float:
-    """Average degree over the giant component's vertices."""
-    verts = giant_vertices(labeling)
-    if len(verts) == 0:
-        raise ValueError("giant component is empty")
-    return float(g.degrees()[verts].sum()) / len(verts)
-

@@ -88,15 +88,6 @@ class HittingTailEstimate:
     n_walks: int
 
 
-@dataclass(frozen=True)
-class VacancyCheck:
-    vertex: int
-    t: int
-    empirical: float
-    predicted: float
-    p_escape: EscapeEstimate
-
-
 def _component_weights(g: Graph, component: np.ndarray) -> np.ndarray:
     return g.degrees()[component].astype(np.float64)
 
@@ -171,8 +162,6 @@ def vacant_components(g: Graph, v: VacantSet) -> ComponentLabeling:
     """Connected components of the subgraph induced by the vacant vertices."""
     vac = v.vacant_vertices()
     k = len(vac)
-    if k == 0:
-        return components(graph_from_edges(0, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)))
     lookup = np.full(g.n, -1, dtype=np.int64)
     lookup[vac] = np.arange(k)
     eu, ev = g.edge_arrays()
@@ -300,18 +289,6 @@ def escape_probability(g: Graph, component: np.ndarray, x: int, r: int, n_walks:
                 break
     return EscapeEstimate(vertex=x, radius=r, p_escape=aggregate(outcomes),
                           pi_x=pi_x, boundary_empty=False)
-
-
-def vacancy_prediction_check(g: Graph, component: np.ndarray, x: int, r: int, t: int,
-                             n_walks: int, rng) -> VacancyCheck:
-    """Compare the empirical probability that x is unvisited at time t
-    against exp(-t * p_escape * pi(x)), the local tree-model prediction."""
-    gen = as_generator(rng)
-    esc = escape_probability(g, component, x, r, n_walks, gen)
-    predicted = math.exp(-t * esc.p_escape.mean * esc.pi_x)
-    empirical = float(estimate_hitting_tail(g, component, x, [t], n_walks, gen).tail[-1])
-    return VacancyCheck(vertex=int(x), t=int(t), empirical=empirical,
-                        predicted=predicted, p_escape=esc)
 
 
 def spectral_gap(g: Graph, component: np.ndarray, dense_cap: int = DENSE_SPECTRAL_CAP) -> float:

@@ -31,6 +31,10 @@ class TestSolve:
         assert out["u_star"]["ci95_low"] <= out["u_star"]["value"] <= out["u_star"]["ci95_high"]
         assert 0 < out["zeta"] < 1
         assert 0 < out["functional"]["mean"] < 1
+        # the output's key order is part of its bytes
+        assert list(out) == ["rho", "xi", "u_star", "zeta", "functional", "tol", "trees", "radius"]
+        assert list(out["u_star"]) == ["value", "ci95_low", "ci95_high"]
+        assert list(out["functional"]) == ["mean", "std_error", "n_samples", "ci95_low", "ci95_high"]
 
     def test_subcritical_exits_one(self, tmp_path):
         res = run_cli(["solve", "--rho", "0.5", "--seed", "1"], tmp_path)
@@ -178,6 +182,8 @@ class TestOtherCommands:
         assert res.returncode == 0, res.stderr
         out = json.loads(res.stdout)
         assert out["mean_vbar"] > out["mean_v"]
+        assert list(out) == ["mean_vbar", "mean_v", "gap", "predicted_gap", "n", "rho", "u",
+                             "n_trials"]
 
     def test_hitting_runs(self, tmp_path):
         res = run_cli(["hitting", "--n", "2000", "--rho", "2", "--u", "0.3",
@@ -185,6 +191,10 @@ class TestOtherCommands:
         assert res.returncode == 0, res.stderr
         out = json.loads(res.stdout)
         assert len(out["rows"]) == 2
+        assert list(out) == ["n", "rho", "u", "t_steps", "radius", "mean_abs_error", "rows"]
+        assert list(out["rows"][0]) == ["vertex", "degree", "pi_x", "p_escape",
+                                        "empirical_vacancy", "predicted_vacancy", "abs_error",
+                                        "tail_ks_distance", "censored_fraction"]
 
     def test_manifest_written_for_stdout_commands(self, tmp_path):
         res = run_cli(["capacity", "--rho", "2", "--u", "0", "--trees", "100",
@@ -211,11 +221,22 @@ class TestOtherCommands:
         lines = res.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
 
-    def test_size_check_zero_trials_exits_one(self, tmp_path):
-        res = run_cli(["size-check", "--n", "2000", "--rho", "2", "--u", "0.3",
-                       "--trials", "0", "--seed", "1"], tmp_path)
+    @pytest.mark.parametrize("args, message", [
+        (["size-check", "--n", "2000", "--rho", "2", "--u", "0.3", "--trials", "0"],
+         "n_trials must be positive"),
+        (["simulate", "--n", "200", "--rho", "2", "--u", "0.3", "--trials", "0"],
+         "n_trials must be positive"),
+        (["hitting", "--n", "2000", "--rho", "2", "--u", "0.3", "--vertices", "0"],
+         "n_vertices_probed must be positive"),
+        (["hitting", "--n", "2000", "--rho", "2", "--u", "0.3", "--vertices", "-1"],
+         "n_vertices_probed must be positive"),
+    ], ids=["size-check-trials-0", "simulate-trials-0", "hitting-vertices-0",
+            "hitting-vertices-negative"])
+    def test_empty_request_exits_one(self, tmp_path, args, message):
+        # a request for no trials or no probed vertices has no result to report
+        res = run_cli(args + ["--seed", "1"], tmp_path)
         assert res.returncode == 1, res.stderr
-        assert res.stderr.splitlines() == ["error: n_trials must be positive"]
+        assert res.stderr.splitlines() == [f"error: {message}"]
 
     def test_unknown_command_exits_two(self, tmp_path):
         res = run_cli(["frobnicate"], tmp_path)

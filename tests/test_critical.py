@@ -107,16 +107,9 @@ class TestSolveUStar:
 
 
 class TestPredictions:
-    def test_vacant_fraction_endpoints(self):
-        rho = 2.0
-        xi = critical.solve_xi(rho)
-        assert critical.predicted_vacant_fraction(0.0, rho, 1.0) == pytest.approx(xi)
-        assert critical.predicted_vacant_fraction(100.0, rho, 0.0) == 0.0
-        with pytest.raises(ValueError):
-            critical.predicted_vacant_fraction(1.0, rho, 1.5)
-
     def test_vacant_mean_degree_crosses_one_at_u_star(self):
         caps = gw.capacity_samples(2.0, 40, 50_000, derive_stream(57, 0))
         res = critical.solve_u_star(2.0, caps.functional, tol_u=1e-9)
         f_star = caps.functional(res.u_star).mean
-        assert critical.vacant_mean_degree(res.u_star, 2.0, f_star) == pytest.approx(1.0, abs=1e-6)
+        xi = critical.solve_xi(2.0)
+        assert critical.vacant_mean_degree(2.0, xi, f_star) == pytest.approx(1.0, abs=1e-6)

@@ -106,7 +106,6 @@ class TestAggregate:
     def test_single_sample_degenerate(self):
         est = aggregate([5.0])
         assert est == EstimateCI(5.0, 0.0, 1, 5.0, 5.0)
-        assert est.degenerate
 
     def test_hand_computed_se(self):
         est = aggregate([0, 0, 1, 1])

@@ -7,7 +7,6 @@ from vacantlab.experiments import (
     SWEEP_COLUMNS,
     SweepRecord,
     hitting_and_vacancy_report,
-    second_component_check,
     size_relation_check,
     sweep_records_from_csv,
     sweep_records_to_csv,
@@ -85,22 +84,6 @@ class TestSizeRelation:
         assert abs(rep.gap - rep.predicted_gap) <= 0.03 * n
 
 
-class TestSecondComponent:
-    def test_supercritical_tracks_c2(self, small_caps):
-        rep = second_component_check(2000, 2.0, 0.3, 4, derive_stream(43, 0),
-                                     caps=small_caps, max_workers=1)
-        assert rep.supercritical
-        assert rep.max_tracked == rep.max_c2
-        assert rep.ratio_n == rep.max_tracked / 2000
-
-    def test_subcritical_tracks_c1(self, small_caps):
-        rep = second_component_check(2000, 2.0, 3.0, 4, derive_stream(43, 1),
-                                     caps=small_caps, max_workers=1)
-        assert not rep.supercritical
-        assert rep.max_tracked == rep.max_c1
-        assert rep.max_c1 < 2000 * 0.1
-
-
 class TestHittingVacancy:
     def test_report_fields_and_bounds(self):
         rep = hitting_and_vacancy_report(4000, 2.0, 0.3, 4, derive_stream(44, 0),
@@ -114,6 +97,15 @@ class TestHittingVacancy:
             assert row.tail_ks_distance >= 0.0
             assert 0 <= row.censored_fraction <= 1.0
         assert rep.mean_abs_error == pytest.approx(np.mean([r.abs_error for r in rep.rows]))
+
+    def test_ball_covering_giant_predicts_certain_vacancy(self):
+        # a ball that covers the whole giant has no boundary to escape to
+        rep = hitting_and_vacancy_report(300, 2.0, 0.3, 2, derive_stream(44, 2),
+                                         n_walks=50, radius=300)
+        assert len(rep.rows) == 2
+        for row in rep.rows:
+            assert row.p_escape == 0.0
+            assert row.predicted_vacancy == 1.0
 
     def test_size_cap(self):
         with pytest.raises(ValueError):

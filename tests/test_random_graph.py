@@ -5,14 +5,11 @@ import numpy as np
 import pytest
 
 from conftest import build_graph, complete_graph, xi_fixed_point_oracle
-from vacantlab import critical
 from vacantlab.engine import derive_stream
 from vacantlab.random_graph import (
     ComponentLabeling,
     components,
-    giant,
     giant_vertices,
-    mean_giant_degree,
     sample_er,
     typicality,
     _pair_from_index,
@@ -109,8 +106,7 @@ class TestComponents:
         g = build_graph(4, [(0, 1), (2, 3)])
         lab = components(g)
         assert lab.sizes.tolist() == [2, 2]
-        assert giant(lab) == 0
-        assert 0 in giant_vertices(lab)
+        assert giant_vertices(lab).tolist() == [0, 1]
 
     def test_giant_is_largest(self):
         g = build_graph(8, [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6)])
@@ -121,13 +117,12 @@ class TestComponents:
     def test_single_vertex(self):
         g = sample_er(1, 0.0, derive_stream(1, 0))
         lab = components(g)
-        assert giant(lab) == 0
-        assert lab.members[0].tolist() == [0]
+        assert giant_vertices(lab).tolist() == [0]
 
     def test_empty_labeling_errors(self):
-        empty = ComponentLabeling(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), [])
-        with pytest.raises(ValueError):
-            giant(empty)
+        empty = ComponentLabeling(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        with pytest.raises(ValueError, match="empty labeling"):
+            giant_vertices(empty)
 
 
 class TestTypicality:
@@ -166,21 +161,3 @@ class TestTypicality:
         for i in range(20):
             lab = components(sample_er(n, rho, root.substream(i)))
             assert abs(lab.sizes[0] / n - xi) <= 0.01
-
-
-class TestMeanGiantDegree:
-    def test_triangle(self, triangle):
-        assert mean_giant_degree(triangle, components(triangle)) == 2.0
-
-    def test_path(self, path3):
-        assert mean_giant_degree(path3, components(path3)) == pytest.approx(4 / 3)
-
-    def test_matches_prediction(self):
-        n, rho = 100_000, 2.0
-        xi = critical.solve_xi(rho)
-        root = derive_stream(33, 0)
-        vals = []
-        for i in range(20):
-            g = sample_er(n, rho, root.substream(i))
-            vals.append(mean_giant_degree(g, components(g)))
-        assert abs(np.mean(vals) - rho * (2 - xi)) <= 0.02

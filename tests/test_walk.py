@@ -10,7 +10,7 @@ from conftest import (
     hitting_tail_matrix_oracle,
     star_graph,
 )
-from vacantlab import critical, walk
+from vacantlab import walk
 from vacantlab.engine import derive_stream
 from vacantlab.random_graph import components, giant_vertices, sample_er
 from vacantlab.walk import (
@@ -20,7 +20,6 @@ from vacantlab.walk import (
     run_walk_vacant,
     spectral_gap,
     stationary_start,
-    vacancy_prediction_check,
     vacant_components,
     vacant_from_first_visits,
     walk_time,
@@ -207,37 +206,6 @@ class TestEscapeProbability:
         comp = whole_component(g)
         est = escape_probability(g, comp, 0, 1, 100, derive_stream(9, 99))
         assert est.p_escape.mean == 0.0
-
-
-class TestVacancyPrediction:
-    def test_time_zero(self, path3):
-        comp = whole_component(path3)
-        chk = vacancy_prediction_check(path3, comp, 1, 1, 0, 20_000, derive_stream(10, 0))
-        assert chk.predicted == 1.0
-        pi_x = walk.stationary_pi(path3, comp, 1)
-        assert abs(chk.empirical - (1 - pi_x)) <= 0.01
-
-    def test_flagged_escape_gives_trivial_prediction(self):
-        g = star_graph(5)
-        comp = whole_component(g)
-        chk = vacancy_prediction_check(g, comp, 0, 1, 50, 2_000, derive_stream(10, 1))
-        assert chk.p_escape.boundary_empty
-        assert chk.predicted == 1.0
-
-    def test_prediction_tracks_empirical_on_er_giant(self):
-        n, rho, u = 20_000, 2.0, 0.3
-        xi = critical.solve_xi(rho)
-        t = walk_time(u, rho, xi, n)
-        g = sample_er(n, rho, derive_stream(11, 0))
-        comp = whole_component(g)
-        gen = derive_stream(11, 1).generator()
-        r = walk.default_ball_radius(n, rho)
-        errs = []
-        for i in range(5):
-            x = int(comp[gen.integers(0, len(comp))])
-            chk = vacancy_prediction_check(g, comp, x, r, t, 2000, derive_stream(11, 2 + i))
-            errs.append(abs(chk.empirical - chk.predicted))
-        assert float(np.mean(errs)) <= 0.04
 
 
 class TestSpectralGap:
