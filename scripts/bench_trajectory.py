@@ -1,0 +1,156 @@
+"""Record one point of vacantlab's performance trajectory: BENCH_<short-rev>.json.
+
+    python3 scripts/bench_trajectory.py [--tier1] [CHECKOUT_OR_REV ...]
+
+Each argument is a git checkout directory or a revision of this repository;
+a revision is cloned into a temporary directory and measured there. With no
+argument the repository holding this script is measured. With several, the
+measurements alternate between them (every workload runs once per checkout,
+the order flipping from one workload to the next), so a parent and a change
+measured together share the machine's drift.
+
+Per checkout the file records:
+
+- each workload's info and result lines from ``perfbench/run.py --trace 0``
+  (end-to-end metrics, run length from ``BENCHMARK.json``);
+- the wall time and peak RSS of ``import vacantlab`` in a fresh interpreter,
+  median over several runs;
+- with ``--tier1``, the wall time, exit code and summary line of the Tier-1
+  suite.
+
+The files are written to the root of the repository holding this script.
+Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+WORKLOADS = ["solve", "simulate", "size-check", "hitting"]
+SEED = 1
+IMPORT_RUNS = 9
+IMPORT_CODE = ("import time; t0 = time.perf_counter(); import vacantlab; "
+               "print(time.perf_counter() - t0)")
+
+
+def git(cwd: Path, *args: str) -> str:
+    env = dict(os.environ, GIT_CEILING_DIRECTORIES=str(cwd.parent))
+    return subprocess.run(["git", *args], cwd=cwd, env=env, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def checkout(arg: str, tmp: Path) -> Path:
+    """A directory argument as it is; a revision cloned and checked out."""
+    if Path(arg).is_dir():
+        return Path(arg).resolve()
+    dest = Path(tempfile.mkdtemp(dir=tmp))
+    subprocess.run(["git", "clone", "--quiet", "--no-checkout", str(REPO), str(dest)], check=True)
+    git(dest, "checkout", "--quiet", git(REPO, "rev-parse", "--verify", f"{arg}^{{commit}}"))
+    return dest
+
+
+def env_for(root: Path) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+    return env
+
+
+def import_time(root: Path, tmp: Path) -> dict:
+    """``import vacantlab`` in fresh interpreters, run from an empty
+    directory; the first run byte-compiles and is not counted."""
+    secs, rss = [], []
+    for i in range(IMPORT_RUNS + 1):
+        proc = subprocess.Popen([sys.executable, "-c", IMPORT_CODE], cwd=tmp, env=env_for(root),
+                                stdout=subprocess.PIPE, text=True)
+        out = proc.stdout.read()
+        proc.stdout.close()
+        _, status, usage = os.wait4(proc.pid, 0)
+        if os.waitstatus_to_exitcode(status) != 0:
+            raise RuntimeError(f"import vacantlab failed in {root}")
+        if i > 0:
+            secs.append(float(out))
+            rss.append(usage.ru_maxrss / 1024.0)
+    return {"median_s": statistics.median(secs), "peak_rss_mb": statistics.median(rss),
+            "runs": len(secs)}
+
+
+def perfbench(root: Path, workload: str) -> dict:
+    seconds = json.loads((root / "BENCHMARK.json").read_text())["run_seconds"]
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+           "--seconds", str(seconds), "--trace", "0"]
+    res = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    lines = res.stdout.strip().splitlines()
+    if res.returncode != 0 or len(lines) < 2:
+        return {"exit_code": res.returncode, "stderr": res.stderr.strip().splitlines()[-3:]}
+    return {"info": json.loads(lines[-2]), "result": json.loads(lines[-1])}
+
+
+def tier1(root: Path) -> dict:
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+           "-p", "no:cacheprovider"]
+    t0 = time.perf_counter()
+    res = subprocess.run(cmd, cwd=root, env=env_for(root), capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    tail = res.stdout.strip().splitlines()
+    return {"wall_s": wall, "exit_code": res.returncode, "summary": tail[-1] if tail else ""}
+
+
+def main() -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("checkouts", nargs="*", default=[str(REPO)],
+                   help="checkout directories or git revisions (default: this repository)")
+    p.add_argument("--tier1", action="store_true", help="also time the Tier-1 test suite")
+    args = p.parse_args()
+
+    tmp = Path(tempfile.mkdtemp(prefix="bench_trajectory_"))
+    try:
+        roots = [checkout(a, tmp) for a in args.checkouts]
+        points = []
+        for root in roots:
+            rev = git(root, "rev-parse", "HEAD")
+            dirty = git(root, "status", "--porcelain", "--untracked-files=no",
+                        "--", "src", "tests", "perfbench") != ""
+            points.append({"git_rev": rev, "dirty": dirty, "workloads": {}})
+        measured_with = [pt["git_rev"] for pt in points]
+
+        def alternating(i: int):
+            order = list(zip(roots, points))
+            return order if i % 2 == 0 else order[::-1]
+
+        for root, pt in alternating(0):
+            pt["import_vacantlab"] = import_time(root, tmp)
+        for i, workload in enumerate(WORKLOADS):
+            for root, pt in alternating(i + 1):
+                print(f"{pt['git_rev'][:7]} {workload}", file=sys.stderr, flush=True)
+                pt["workloads"][workload] = perfbench(root, workload)
+        if args.tier1:
+            for root, pt in alternating(len(WORKLOADS) + 1):
+                print(f"{pt['git_rev'][:7]} tier1", file=sys.stderr, flush=True)
+                pt["tier1"] = tier1(root)
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+    machine = {"nproc": len(os.sched_getaffinity(0)), "platform": platform.platform(),
+               "python": platform.python_version()}
+    for pt in points:
+        pt.update(machine=machine, seed=SEED, measured_with=measured_with,
+                  date=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()))
+        path = REPO / f"BENCH_{pt['git_rev'][:7]}.json"
+        path.write_text(json.dumps(pt, indent=1) + "\n")
+        print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,15 +7,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from functools import cached_property
 
 import numpy as np
 
 from . import critical
 from .engine import as_generator
-
-if TYPE_CHECKING:
-    from scipy.sparse import csr_matrix
 
 DEFAULT_SMALL_COMPONENT_CONSTANT = 30.0
 
@@ -44,17 +41,15 @@ class Graph:
     def neighbors(self, x: int) -> np.ndarray:
         return self.indices[self.indptr[x] : self.indptr[x + 1]]
 
+    @cached_property
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Edges as (u, v) arrays with u < v."""
+        """Edges as read-only (u, v) arrays with u < v, built once per graph."""
         owners = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
         keep = owners < self.indices
-        return owners[keep], self.indices[keep].astype(np.int64)
-
-    def to_sparse(self) -> csr_matrix:
-        from scipy.sparse import csr_matrix
-
-        data = np.ones(len(self.indices), dtype=np.int8)
-        return csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+        edges = owners[keep], self.indices[keep].astype(np.int64)
+        for arr in edges:
+            arr.flags.writeable = False
+        return edges
 
 
 def graph_from_edges(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
@@ -170,13 +165,20 @@ def sample_er(n: int, rho: float, rng) -> Graph:
 
 
 def components(g: Graph) -> ComponentLabeling:
-    """Exact connected components, relabeled canonically (size-descending,
-    ties by smallest contained vertex)."""
+    """Exact connected components, in the canonical order of ComponentLabeling."""
     if g.n == 0:
-        return ComponentLabeling(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        return _canonical_labeling(np.zeros(0, dtype=np.int64))
+    from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
 
-    _, raw = connected_components(g.to_sparse(), directed=False)
+    data = np.ones(len(g.indices), dtype=np.int8)
+    _, raw = connected_components(csr_matrix((data, g.indices, g.indptr), shape=(g.n, g.n)),
+                                  directed=False)
+    return _canonical_labeling(raw)
+
+
+def _canonical_labeling(raw: np.ndarray) -> ComponentLabeling:
+    """Canonical labeling from scipy csgraph component labels."""
     raw_sizes = np.bincount(raw)
     n_comp = len(raw_sizes)
     # scipy labels components by smallest contained vertex order already;

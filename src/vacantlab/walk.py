@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import EstimateCI, aggregate, as_generator
-from .random_graph import ComponentLabeling, Graph, components, graph_from_edges
+from .random_graph import ComponentLabeling, Graph, _canonical_labeling
 
 DENSE_SPECTRAL_CAP = 5000
 _BLOCK = 1 << 15
@@ -158,16 +158,28 @@ def vacant_from_first_visits(component: np.ndarray, times: np.ndarray, s: int) -
                      size=int(membership.sum()))
 
 
+def _induced_edges(g: Graph, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edges induced by ``vertices``, as endpoint arrays of positions in it."""
+    lookup = np.full(g.n, -1, dtype=np.int64)
+    lookup[vertices] = np.arange(len(vertices))
+    a, b = (lookup[e] for e in g.edge_arrays)
+    keep = (a >= 0) & (b >= 0)
+    return a[keep], b[keep]
+
+
 def vacant_components(g: Graph, v: VacantSet) -> ComponentLabeling:
-    """Connected components of the subgraph induced by the vacant vertices."""
+    """Canonical components of the subgraph induced by ``v.vacant_vertices()``
+    (ids are positions in it), from one csgraph call on the masked edge list."""
     vac = v.vacant_vertices()
     k = len(vac)
-    lookup = np.full(g.n, -1, dtype=np.int64)
-    lookup[vac] = np.arange(k)
-    eu, ev = g.edge_arrays()
-    keep = (lookup[eu] >= 0) & (lookup[ev] >= 0)
-    sub = graph_from_edges(k, lookup[eu[keep]], lookup[ev[keep]])
-    return components(sub)
+    if k == 0:
+        return _canonical_labeling(np.zeros(0, dtype=np.int64))
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    a, b = _induced_edges(g, vac)
+    adjacency = coo_matrix((np.ones(len(a), dtype=np.int8), (a, b)), shape=(k, k))
+    return _canonical_labeling(connected_components(adjacency, directed=False)[1])
 
 
 def _stationary_starts(g: Graph, component: np.ndarray, n_walks: int, gen) -> np.ndarray:
@@ -303,11 +315,7 @@ def spectral_gap(g: Graph, component: np.ndarray, dense_cap: int = DENSE_SPECTRA
     if k == 1:
         raise ValueError("spectral gap undefined on a single vertex")
     comp = np.asarray(component, dtype=np.int64)
-    lookup = np.full(g.n, -1, dtype=np.int64)
-    lookup[comp] = np.arange(k)
-    eu, ev = g.edge_arrays()
-    keep = (lookup[eu] >= 0) & (lookup[ev] >= 0)
-    a, b = lookup[eu[keep]], lookup[ev[keep]]
+    a, b = _induced_edges(g, comp)
     deg = g.degrees()[comp].astype(np.float64)
     dinv = 1.0 / np.sqrt(deg)
     if k <= 600:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,14 @@ class TestSweep:
             SweepRecord(n=10, rho=2.0, u=0.1, trial=0, seed=1, t_steps=5,
                         giant_size=8, vacant_size=9, c1_vacant=3, c2_vacant=1,
                         zeta_predicted=0.5, vacant_fraction_predicted=0.5).validate()
+
+    def test_csv_bytes_pinned(self):
+        # sha256 of the sweep CSV, computed before the vacant-component
+        # kernel moved to a masked edge list: replay bytes must not move
+        recs = sweep_vacant_structure(3000, 2.0, [0.0, 0.3, 0.6, 0.9, 1.2, 1.5], 2,
+                                      derive_stream(47, 0), n_trees=2000, max_workers=1)
+        digest = hashlib.sha256(sweep_records_to_csv(recs).encode()).hexdigest()
+        assert digest == "dc999d85ec2230f8efed152fed9e9f7f529834d8299947043eb86a319cfbc170"
 
 
 class TestSizeRelation:

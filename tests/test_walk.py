@@ -12,7 +12,7 @@ from conftest import (
 )
 from vacantlab import walk
 from vacantlab.engine import derive_stream
-from vacantlab.random_graph import components, giant_vertices, sample_er
+from vacantlab.random_graph import components, giant_vertices, graph_from_edges, sample_er
 from vacantlab.walk import (
     escape_probability,
     estimate_hitting_tail,
@@ -132,6 +132,76 @@ class TestVacantComponents:
         vac = walk.VacantSet(component=comp, membership=membership, size=3)
         lab = vacant_components(g, vac)
         assert lab.sizes.tolist() == [2, 1]
+
+
+def rebuilt_subgraph_components(g, v):
+    """The reference route: rebuild the vacant-induced subgraph as a Graph
+    and label it with ``components``."""
+    vac = v.vacant_vertices()
+    k = len(vac)
+    lookup = np.full(g.n, -1, dtype=np.int64)
+    lookup[vac] = np.arange(k)
+    eu, ev = g.edge_arrays
+    keep = (lookup[eu] >= 0) & (lookup[ev] >= 0)
+    return components(graph_from_edges(k, lookup[eu[keep]], lookup[ev[keep]]))
+
+
+def vacant_set(comp, membership):
+    return walk.VacantSet(component=comp, membership=membership, size=int(membership.sum()))
+
+
+class TestVacantComponentsOracle:
+    """The masked-edge-list kernel against the rebuilt-subgraph route, plus
+    a direct check of the canonical order, which both routes share."""
+
+    def assert_matches_reference(self, g, v):
+        got = vacant_components(g, v)
+        ref = rebuilt_subgraph_components(g, v)
+        for a, b in ((got.label, ref.label), (got.sizes, ref.sizes)):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+        k, nc = v.size, got.n_components
+        assert np.array_equal(np.bincount(got.label, minlength=nc), got.sizes)
+        first = np.full(nc, k)
+        np.minimum.at(first, got.label, np.arange(k))
+        # size-descending, equal sizes ordered by their smallest member
+        assert ((got.sizes[:-1] > got.sizes[1:])
+                | ((got.sizes[:-1] == got.sizes[1:]) & (first[:-1] < first[1:]))).all()
+        return got
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_walk_times_match_rebuilt_subgraph(self, seed):
+        g = sample_er(2000, 2.0, derive_stream(60, seed))
+        comp = whole_component(g)
+        ts = [0, 40, 300, 1200, 3000, 8000]
+        times = run_walk_first_visits(g, comp, ts[-1], derive_stream(61, seed))
+        n_comps = []
+        for s in ts:
+            lab = self.assert_matches_reference(g, vacant_from_first_visits(comp, times, s))
+            n_comps.append(lab.n_components)
+        # the grid crosses from one big piece to many: ties in size occur
+        assert n_comps[0] <= 3 and max(n_comps) > 50
+
+    def test_fully_vacant_giant(self):
+        g = sample_er(2000, 2.0, derive_stream(62, 0))
+        comp = whole_component(g)
+        assert len(comp) < g.n
+        lab = self.assert_matches_reference(g, vacant_set(comp, np.ones(len(comp), dtype=bool)))
+        assert lab.sizes.tolist() == [len(comp)]
+
+    def test_empty_vacant_set(self):
+        g = sample_er(2000, 2.0, derive_stream(62, 1))
+        comp = whole_component(g)
+        lab = self.assert_matches_reference(g, vacant_set(comp, np.zeros(len(comp), dtype=bool)))
+        assert lab.n_components == 0 and len(lab.label) == 0
+
+    def test_host_is_a_small_component(self):
+        g = sample_er(2000, 2.0, derive_stream(62, 2))
+        host = np.flatnonzero(components(g).label == 1)
+        assert 2 <= len(host) < g.n // 10
+        gen = derive_stream(62, 3).generator()
+        for membership in (np.ones(len(host), dtype=bool), gen.random(len(host)) < 0.6):
+            self.assert_matches_reference(g, vacant_set(host, membership))
 
 
 class TestHittingTail:
