@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 
 DEFAULT_TOL = 1e-10
+# solve_u_star doubles its upper bracket up to this intensity before giving up.
+U_MAX_CAP = 1024.0
 
 
 @dataclass(frozen=True)
@@ -76,14 +78,14 @@ def residual(u_functional_value: float, rho: float, xi: float) -> float:
     return vacant_mean_degree(rho, xi, u_functional_value) - 1.0
 
 
-def solve_u_star(rho: float, functional, tol_u: float = 1e-6, *, u_max_cap: float = 1024.0) -> UStarResult:
+def solve_u_star(rho: float, functional, tol_u: float = 1e-6) -> UStarResult:
     """Critical intensity: the u at which rho*xi*F(u) + rho*(1-xi) = 1,
     where F(u) is the Monte Carlo capacity functional (an EstimateCI,
     decreasing in u under common random numbers).
 
     The returned interval re-solves the equation along the functional's
     ci95 band. Raises when the residual never changes sign up to
-    ``u_max_cap`` (possible only if the functional is broken: at u=0 the
+    ``U_MAX_CAP`` (possible only if the functional is broken: at u=0 the
     residual is rho-1 > 0 and its large-u limit is rho*(1-xi)-1 < 0).
     """
     if rho <= 1.0:
@@ -97,7 +99,7 @@ def solve_u_star(rho: float, functional, tol_u: float = 1e-6, *, u_max_cap: floa
     hi = 1.0
     while res_mean(hi) > 0.0:
         hi *= 2.0
-        if hi > u_max_cap:
+        if hi > U_MAX_CAP:
             raise ValueError("no sign change: capacity functional looks broken")
     u_star = _bisect(res_mean, 0.0, hi, tol_u)
 
@@ -108,7 +110,7 @@ def solve_u_star(rho: float, functional, tol_u: float = 1e-6, *, u_max_cap: floa
     hi_end = hi
     while res_high(hi_end) > 0.0:
         hi_end *= 2.0
-        if hi_end > u_max_cap:
+        if hi_end > U_MAX_CAP:
             raise ValueError("no sign change at upper functional band")
     hi_end = _bisect(res_high, 0.0, hi_end, tol_u)
     ci_low, ci_high = sorted((lo_end, hi_end))

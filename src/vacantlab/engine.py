@@ -144,10 +144,9 @@ def worker_count(n_trials: int, max_workers: int | None = None) -> int:
     env = os.environ.get(THREADS_ENV_VAR)
     cap = os.cpu_count() or 1
     if env is not None:
-        env_val = int(env)
-        if env_val < 1:
+        cap = int(env) if env.strip().isdecimal() else 0
+        if cap < 1:
             raise ValueError(f"{THREADS_ENV_VAR} must be a positive integer, got {env!r}")
-        cap = env_val
     if max_workers is not None:
         cap = min(cap, max_workers)
     return max(1, min(cap, n_trials))

@@ -176,8 +176,7 @@ def _size_trial(cfg: _SizeTrialConfig, stream: RngStream) -> int:
 
 
 def size_relation_check(n: int, rho: float, u: float, n_trials: int, root: RngStream,
-                        *, burn_in: int | None = None,
-                        max_workers: int | None = None) -> SizeRelationReport:
+                        *, max_workers: int | None = None) -> SizeRelationReport:
     """Independent exploration and walk runs at the same intensity; their
     mean vacant sizes should differ by the mass of the non-giant
     components, (1-xi)*n."""
@@ -185,8 +184,7 @@ def size_relation_check(n: int, rho: float, u: float, n_trials: int, root: RngSt
         raise ValueError("n_trials must be positive")
     xi = critical.solve_xi(rho)
     t = walk.walk_time(u, rho, xi, n)
-    extra = exploration.default_burn_in(n) if burn_in is None else burn_in
-    cfg_e = _SizeTrialConfig(n=n, rho=rho, t=t + extra, mode="explore")
+    cfg_e = _SizeTrialConfig(n=n, rho=rho, t=t + exploration.default_burn_in(n), mode="explore")
     cfg_w = _SizeTrialConfig(n=n, rho=rho, t=t, mode="walk")
     vbars = run_trials(cfg_e, n_trials, _size_trial, root=root.substream(1), max_workers=max_workers)
     vs = run_trials(cfg_w, n_trials, _size_trial, root=root.substream(2), max_workers=max_workers)
@@ -223,8 +221,7 @@ class HittingVacancyReport:
 
 def hitting_and_vacancy_report(n: int, rho: float, u: float, n_vertices_probed: int,
                                root: RngStream, *, n_walks: int = 2000,
-                               radius: int | None = None,
-                               n_escape_walks: int | None = None) -> HittingVacancyReport:
+                               radius: int | None = None) -> HittingVacancyReport:
     """Probe uniformly chosen giant vertices: empirical vacancy at the
     intensity's time versus the escape-probability prediction, plus the
     distance of the hitting tail from its exponential fit over a grid
@@ -240,12 +237,11 @@ def hitting_and_vacancy_report(n: int, rho: float, u: float, n_vertices_probed: 
     g = sample_er(n, rho, root.substream(0))
     comp = giant_vertices(components(g))
     chosen = comp[gen.integers(0, len(comp), n_vertices_probed)]
+    ts = np.unique(np.maximum(1, np.round(np.linspace(t / 10, t, 10)).astype(np.int64)))
     rows = []
-    n_esc = n_walks if n_escape_walks is None else n_escape_walks
     for i, x in enumerate(np.asarray(chosen, dtype=np.int64)):
         sub = root.substream(4, i)
-        esc = walk.escape_probability(g, comp, int(x), r, n_esc, sub.substream(0))
-        ts = np.unique(np.maximum(1, np.round(np.linspace(t / 10, t, 10)).astype(np.int64)))
+        esc = walk.escape_probability(g, comp, int(x), r, n_walks, sub.substream(0))
         tailres = walk.estimate_hitting_tail(g, comp, int(x), ts, n_walks, sub.substream(1))
         empirical = float(tailres.tail[-1])
         predicted = math.exp(-t * esc.p_escape.mean * esc.pi_x)
@@ -264,12 +260,11 @@ def hitting_and_vacancy_report(n: int, rho: float, u: float, n_vertices_probed: 
 
 
 def exploration_mean_degree_at(n: int, rho: float, u: float, n_trials: int,
-                               root: RngStream, *, burn_in: int | None = None,
-                               max_workers: int | None = None) -> float:
+                               root: RngStream, *, max_workers: int | None = None) -> float:
     """Mean vacant-graph degree |unvisited| * rho / n after exploring to
     the intensity's time plus burn-in."""
     xi = critical.solve_xi(rho)
-    t = walk.walk_time(u, rho, xi, n) + (exploration.default_burn_in(n) if burn_in is None else burn_in)
+    t = walk.walk_time(u, rho, xi, n) + exploration.default_burn_in(n)
     cfg = _SizeTrialConfig(n=n, rho=rho, t=t, mode="explore")
     sizes = run_trials(cfg, n_trials, _size_trial, root=root, max_workers=max_workers)
     return float(np.mean(sizes)) * rho / n
@@ -277,7 +272,6 @@ def exploration_mean_degree_at(n: int, rho: float, u: float, n_trials: int,
 
 def empirical_u_star_crossing(n: int, rho: float, n_trials: int, root: RngStream,
                               *, tol_u: float = 0.01, u_hi: float = 4.0,
-                              burn_in: int | None = None,
                               max_workers: int | None = None) -> float:
     """Intensity at which the exploration's mean vacant degree crosses 1,
     located by bisection with per-point independent trials (the second,
@@ -285,14 +279,14 @@ def empirical_u_star_crossing(n: int, rho: float, n_trials: int, root: RngStream
     lo, hi = 0.0, u_hi
     point = 0
     dlo = exploration_mean_degree_at(n, rho, 0.0, n_trials, root.substream(10, point),
-                                     burn_in=burn_in, max_workers=max_workers)
+                                     max_workers=max_workers)
     if dlo <= 1.0:
         raise ValueError("vacant degree already below 1 at u=0")
     while hi - lo > tol_u:
         point += 1
         mid = 0.5 * (lo + hi)
         d = exploration_mean_degree_at(n, rho, mid, n_trials, root.substream(10, point),
-                                       burn_in=burn_in, max_workers=max_workers)
+                                       max_workers=max_workers)
         if d > 1.0:
             lo = mid
         else:

@@ -284,15 +284,14 @@ def _er_trial(cfg: _ErTrialConfig, stream: RngStream) -> tuple:
     return big_n, pit, np.bincount(snap.graph.degrees())
 
 
-def er_law_check(n: int, rho: float, u: float, n_trials: int, root: RngStream,
-                 burn_in: int | None = None) -> ErLawReport:
+def er_law_check(n: int, rho: float, u: float, n_trials: int, root: RngStream) -> ErLawReport:
     """Statistical check that the vacant graph is a fresh random graph.
 
-    Runs ``n_trials`` explorations to walk_time(u) + burn_in, snapshots
-    each, and tests (i) per-trial edge counts against their binomial law,
-    pooled through a randomized PIT into a KS-uniformity p-value, and
-    (ii) the pooled degree histogram against the per-trial binomial
-    degree mixture by chi-square. Also reports the mean vacant vertex
+    Runs ``n_trials`` explorations to walk_time(u) + default_burn_in(n),
+    snapshots each, and tests (i) per-trial edge counts against their
+    binomial law, pooled through a randomized PIT into a KS-uniformity
+    p-value, and (ii) the pooled degree histogram against the per-trial
+    binomial degree mixture by chi-square. Also reports the mean vacant vertex
     fraction and the mean vacant-graph degree, the quantity whose
     crossing of 1 locates the critical intensity.
 
@@ -304,11 +303,9 @@ def er_law_check(n: int, rho: float, u: float, n_trials: int, root: RngStream,
         raise ValueError("need at least 50 trials")
     from scipy.stats import binom
 
+    t = default_burn_in(n)
     if rho > 1.0:
-        xi = critical.solve_xi(rho)
-        t = walk.walk_time(u, rho, xi, n) + (default_burn_in(n) if burn_in is None else burn_in)
-    else:
-        t = default_burn_in(n) if burn_in is None else burn_in
+        t += walk.walk_time(u, rho, critical.solve_xi(rho), n)
     p = rho / n
     trials = run_trials(_ErTrialConfig(n=n, rho=rho, t=t), n_trials, _er_trial, root=root)
     mean_fraction = float(np.mean([size for size, _, _ in trials])) / n

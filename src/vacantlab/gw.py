@@ -30,6 +30,8 @@ from .engine import EstimateCI, aggregate, as_generator
 
 DEFAULT_NODE_BUDGET = 10_000_000
 DEFAULT_RADIUS = 40
+# The coupled diagnostic radius of capacity_samples is radius - DIAGNOSTIC_OFFSET.
+DIAGNOSTIC_OFFSET = 5
 
 
 class NodeBudgetExceeded(RuntimeError):
@@ -262,28 +264,26 @@ class CapacitySamples:
     caps_diagnostic: np.ndarray | None
 
     def functional(self, u: float, diagnostic: bool = False) -> EstimateCI:
+        if u < 0:
+            raise ValueError("u must be nonnegative")
         caps = self.caps_diagnostic if diagnostic else self.caps
         if caps is None:
             raise ValueError("no diagnostic radius available")
         return aggregate(np.exp(-u * caps))
 
 
-def _pool_step(gen, pool: np.ndarray, counts: np.ndarray, out: np.ndarray) -> None:
-    """Add sum of h(pool[pick]) over ``counts`` uniform picks to ``out``."""
-    total = int(counts.sum())
-    if total == 0:
-        return
-    picks = gen.integers(0, len(pool), total)
+def _pool_step(pool: np.ndarray, counts: np.ndarray, picks: np.ndarray, out: np.ndarray) -> None:
+    """Add h(pool[pick]) = C/(1+C) over the picks of sample i to out[i];
+    sample i owns the next ``counts[i]`` entries of ``picks``."""
     vals = pool[picks]
     vals = vals / (1.0 + vals)
-    idx = np.repeat(np.arange(len(counts)), counts)
-    np.add.at(out, idx, vals)
+    np.add.at(out, np.repeat(np.arange(len(counts)), counts), vals)
 
 
-def capacity_samples(rho: float, radius: int, n_samples: int, rng,
-                     diagnostic_offset: int = 5) -> CapacitySamples:
+def capacity_samples(rho: float, radius: int, n_samples: int, rng) -> CapacitySamples:
     """Draw root-capacity samples of the survival-conditioned tree at the
-    given radius via the level-pool distributional recursion.
+    given radius via the level-pool distributional recursion, plus coupled
+    samples at radius - DIAGNOSTIC_OFFSET from the same root draws.
 
     Pool level m holds conductances from a node to the boundary m levels
     below it, for doomed and backbone node types separately; level m+1
@@ -291,6 +291,7 @@ def capacity_samples(rho: float, radius: int, n_samples: int, rng,
     Poisson(rho*(1-xi)) doomed picks through C -> C/(1+C). Pool resampling
     introduces an O(1/n_samples) correlation between samples, negligible
     against the reported Monte Carlo error at the default sample sizes.
+    Only the previous level's pools and the diagnostic level's are kept.
     """
     if rho <= 1.0:
         raise ValueError("supercritical rho required")
@@ -303,47 +304,35 @@ def capacity_samples(rho: float, radius: int, n_samples: int, rng,
     lam_b = rho * xi
     lam_d = rho * (1.0 - xi)
     m = n_samples
+    diag_radius = radius - DIAGNOSTIC_OFFSET if radius - DIAGNOSTIC_OFFSET >= 1 else None
 
     doomed = gen.poisson(lam_d, m).astype(np.float64)
     backbone = (_positive_poisson(gen, lam_b, m) + gen.poisson(lam_d, m)).astype(np.float64)
-    pools_d = {1: doomed}
-    pools_b = {1: backbone}
-    for level in range(2, radius + 1):
-        new_d = np.zeros(m)
-        _pool_step(gen, pools_d[level - 1], gen.poisson(lam_d, m), new_d)
-        new_b = np.zeros(m)
-        _pool_step(gen, pools_b[level - 1], _positive_poisson(gen, lam_b, m), new_b)
-        _pool_step(gen, pools_d[level - 1], gen.poisson(lam_d, m), new_b)
-        pools_d[level] = new_d
-        pools_b[level] = new_b
-
-    def root_combine(level: int, k_star, k_doom, picks_b, picks_d) -> np.ndarray:
-        if level == 0:
-            return (k_star + k_doom).astype(np.float64)
-        out = np.zeros(m)
-        for pool, counts, picks in ((pools_b[level], k_star, picks_b), (pools_d[level], k_doom, picks_d)):
-            total = int(counts.sum())
-            if total == 0:
-                continue
-            vals = pool[picks[:total]]
-            vals = vals / (1.0 + vals)
-            np.add.at(out, np.repeat(np.arange(m), counts), vals)
-        return out
+    levels = {}  # root-combine level -> (backbone pool, doomed pool)
+    for level in range(1, radius + 1):
+        if level > 1:
+            new_d, new_b = np.zeros(m), np.zeros(m)
+            counts = gen.poisson(lam_d, m)
+            _pool_step(doomed, counts, gen.integers(0, m, int(counts.sum())), new_d)
+            counts = _positive_poisson(gen, lam_b, m)
+            _pool_step(backbone, counts, gen.integers(0, m, int(counts.sum())), new_b)
+            counts = gen.poisson(lam_d, m)
+            _pool_step(doomed, counts, gen.integers(0, m, int(counts.sum())), new_b)
+            doomed, backbone = new_d, new_b
+        if level in (radius, diag_radius):
+            levels[level] = (backbone, doomed)
 
     k_star = _positive_poisson(gen, lam_b, m)
     k_doom = gen.poisson(lam_d, m)
-    max_picks_b = int(k_star.sum())
-    max_picks_d = int(k_doom.sum())
-    picks_b = gen.integers(0, m, max_picks_b)
-    picks_d = gen.integers(0, m, max_picks_d)
-    caps = root_combine(radius, k_star, k_doom, picks_b, picks_d)
-    diag_radius = None
-    caps_diag = None
-    if diagnostic_offset and radius - diagnostic_offset >= 1:
-        diag_radius = radius - diagnostic_offset
-        caps_diag = root_combine(diag_radius, k_star, k_doom, picks_b, picks_d)
-    return CapacitySamples(rho=rho, radius=radius, caps=caps,
-                           diagnostic_radius=diag_radius, caps_diagnostic=caps_diag)
+    picks_b = gen.integers(0, m, int(k_star.sum()))
+    picks_d = gen.integers(0, m, int(k_doom.sum()))
+    caps = {0: (k_star + k_doom).astype(np.float64)}
+    for level, (pool_b, pool_d) in levels.items():
+        caps[level] = np.zeros(m)
+        _pool_step(pool_b, k_star, picks_b, caps[level])
+        _pool_step(pool_d, k_doom, picks_d, caps[level])
+    return CapacitySamples(rho=rho, radius=radius, caps=caps[radius], diagnostic_radius=diag_radius,
+                           caps_diagnostic=caps[diag_radius] if diag_radius else None)
 
 
 def capacity_samples_direct(rho: float, radius: int, n_samples: int, rng,

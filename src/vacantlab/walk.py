@@ -88,31 +88,26 @@ class HittingTailEstimate:
     n_walks: int
 
 
-def _component_weights(g: Graph, component: np.ndarray) -> np.ndarray:
-    return g.degrees()[component].astype(np.float64)
-
-
 def stationary_pi(g: Graph, component: np.ndarray, x: int) -> float:
     """Stationary weight of x on its component: degree(x) / sum of degrees."""
     total = float(g.degrees()[component].sum())
     return g.degree(x) / total
 
 
-def stationary_start(g: Graph, component: np.ndarray, rng) -> int:
-    """Vertex drawn with probability proportional to its degree
-    (prefix-sum inversion of the degree-weighted distribution)."""
+def _stationary_starts(g: Graph, component: np.ndarray, k: int, rng) -> np.ndarray:
+    """k vertices drawn independently with probability proportional to
+    their degree (prefix-sum inversion); a single-vertex component is
+    returned without a draw."""
     if len(component) == 0:
         raise ValueError("component is empty")
     if len(component) == 1:
-        return int(component[0])
-    gen = as_generator(rng)
-    weights = _component_weights(g, component)
-    total = weights.sum()
-    if total <= 0:
+        return np.full(k, component[0], dtype=np.int64)
+    cum = np.cumsum(g.degrees()[component].astype(np.float64))
+    if cum[-1] <= 0:
         raise ValueError("component of size > 1 with all degrees 0: disconnected input")
-    cum = np.cumsum(weights)
-    idx = int(np.searchsorted(cum, gen.random() * total, side="right"))
-    return int(component[min(idx, len(component) - 1)])
+    draws = as_generator(rng).random(k) * cum[-1]
+    idx = np.minimum(np.searchsorted(cum, draws, side="right"), len(component) - 1)
+    return component[idx].astype(np.int64)
 
 
 def run_walk_first_visits(g: Graph, component: np.ndarray, t: int, rng) -> np.ndarray:
@@ -123,13 +118,13 @@ def run_walk_first_visits(g: Graph, component: np.ndarray, t: int, rng) -> np.nd
     if t < 0:
         raise ValueError("t must be nonnegative")
     gen = as_generator(rng)
-    start = stationary_start(g, component, gen)
+    start = int(_stationary_starts(g, component, 1, gen)[0])
     times = [-1] * g.n
     times[start] = 0
     if t > 0 and g.degree(start) > 0:
         indptr = g.indptr.tolist()
         indices = g.indices.tolist()
-        cur = int(start)
+        cur = start
         step = 0
         remaining = t
         while remaining > 0:
@@ -182,17 +177,38 @@ def vacant_components(g: Graph, v: VacantSet) -> ComponentLabeling:
     return _canonical_labeling(connected_components(adjacency, directed=False)[1])
 
 
-def _stationary_starts(g: Graph, component: np.ndarray, n_walks: int, gen) -> np.ndarray:
-    weights = _component_weights(g, component)
-    cum = np.cumsum(weights)
-    draws = gen.random(n_walks) * cum[-1]
-    idx = np.minimum(np.searchsorted(cum, draws, side="right"), len(component) - 1)
-    return component[idx].astype(np.int64)
-
-
 def _step_all(g_indptr, g_indices, deg, cur, gen) -> np.ndarray:
     offs = (gen.random(len(cur)) * deg[cur]).astype(np.int64)
     return g_indices[g_indptr[cur] + offs]
+
+
+def _killed_walks(g: Graph, starts: np.ndarray, stop: np.ndarray, cap: int | None,
+                  gen) -> tuple[np.ndarray, np.ndarray]:
+    """Step every walker from ``starts`` until it first lands on a vertex
+    where the boolean mask ``stop`` holds, or until ``cap`` steps (None:
+    no cap).
+
+    Returns each walker's stopping step (-1 if still live at the cap) and
+    its last vertex. One uniform per live walker per step, in walker order.
+    """
+    times = np.full(len(starts), -1, dtype=np.int64)
+    ends = np.array(starts, dtype=np.int64)
+    alive = np.arange(len(starts))
+    cur = starts
+    indptr, indices, deg = g.indptr, g.indices, g.degrees()
+    step = 0
+    while len(alive) > 0 and (cap is None or step < cap):
+        step += 1
+        cur = _step_all(indptr, indices, deg, cur, gen)
+        hits = stop[cur]
+        if hits.any():
+            times[alive[hits]] = step
+            ends[alive[hits]] = cur[hits]
+            keep = ~hits
+            alive = alive[keep]
+            cur = cur[keep]
+    ends[alive] = cur
+    return times, ends
 
 
 def estimate_hitting_tail(g: Graph, component: np.ndarray, x: int, ts, n_walks: int, rng) -> HittingTailEstimate:
@@ -211,22 +227,12 @@ def estimate_hitting_tail(g: Graph, component: np.ndarray, x: int, ts, n_walks: 
     gen = as_generator(rng)
     cap = int(ts[-1])
     starts = _stationary_starts(g, component, n_walks, gen)
-    hit_time = np.full(n_walks, cap + 1, dtype=np.int64)
-    hit_time[starts == x] = 0
-    active = hit_time > cap
-    cur = starts[active]
-    alive_idx = np.flatnonzero(active)
-    indptr, indices, deg = g.indptr, g.indices, g.degrees()
-    step = 0
-    while step < cap and len(alive_idx) > 0:
-        step += 1
-        cur = _step_all(indptr, indices, deg, cur, gen)
-        hits = cur == x
-        if hits.any():
-            hit_time[alive_idx[hits]] = step
-            keep = ~hits
-            alive_idx = alive_idx[keep]
-            cur = cur[keep]
+    stop = np.zeros(g.n, dtype=bool)
+    stop[x] = True
+    hit_time = np.zeros(n_walks, dtype=np.int64)
+    away = starts != x
+    times, _ = _killed_walks(g, starts[away], stop, cap, gen)
+    hit_time[away] = np.where(times < 0, cap + 1, times)
     tail = np.array([(hit_time > t).mean() for t in ts])
     censored = hit_time > cap
     n_hits = int((~censored).sum())
@@ -278,28 +284,12 @@ def escape_probability(g: Graph, component: np.ndarray, x: int, r: int, n_walks:
     if covers:
         return EscapeEstimate(vertex=int(x), radius=r, p_escape=aggregate([0.0] * n_walks),
                               pi_x=pi_x, boundary_empty=True)
-    in_ball = np.zeros(g.n, dtype=bool)
-    in_ball[members] = True
-    indptr = g.indptr.tolist()
-    indices = g.indices.tolist()
-    in_ball_l = in_ball.tolist()
-    outcomes = np.zeros(n_walks)
-    block: list = []
-    x = int(x)
-    for i in range(n_walks):
-        cur = x
-        while True:
-            if not block:
-                block = gen.random(_BLOCK).tolist()
-            unif = block.pop()
-            lo = indptr[cur]
-            cur = indices[lo + int(unif * (indptr[cur + 1] - lo))]
-            if cur == x:
-                break
-            if not in_ball_l[cur]:
-                outcomes[i] = 1.0
-                break
-    return EscapeEstimate(vertex=x, radius=r, p_escape=aggregate(outcomes),
+    stop = np.ones(g.n, dtype=bool)
+    stop[members] = False
+    stop[x] = True
+    # the ball has a boundary, so every walker stops almost surely
+    _, ends = _killed_walks(g, np.full(n_walks, x, dtype=np.int64), stop, None, gen)
+    return EscapeEstimate(vertex=int(x), radius=r, p_escape=aggregate(ends != x),
                           pi_x=pi_x, boundary_empty=False)
 
 

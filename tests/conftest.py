@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,37 @@ def escape_probability_harmonic_oracle(tree, radius: int) -> float:
     for c in root_children:
         total += h[index[c]] if c in index else 0.0
     return 1.0 - total / len(root_children)
+
+
+def escape_probability_ball_oracle(g: Graph, x: int, r: int) -> float:
+    """Exact probability that a walk from x leaves the radius-r ball
+    around x before returning to x: breadth-first search for the ball,
+    then a dense solve of the harmonic function h(v) = P_v[reach x before
+    leaving the ball] on the ball minus x (h = 1 at x, 0 outside it);
+    escape = 1 - mean of h over the neighbours of x."""
+    adj = [g.neighbors(v).tolist() for v in range(g.n)]
+    dist = {x: 0}
+    queue = deque([x])
+    while queue:
+        v = queue.popleft()
+        if dist[v] == r:
+            continue
+        for w in adj[v]:
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    index = {v: i for i, v in enumerate(v for v in dist if v != x)}
+    a = np.eye(len(index))
+    b = np.zeros(len(index))
+    for v, i in index.items():
+        for w in adj[v]:
+            if w == x:
+                b[i] += 1.0 / len(adj[v])
+            elif w in index:
+                a[i, index[w]] -= 1.0 / len(adj[v])
+    h = np.linalg.solve(a, b)
+    back = sum(1.0 if w == x else h[index[w]] for w in adj[x])
+    return 1.0 - back / len(adj[x])
 
 
 def hitting_tail_matrix_oracle(g: Graph, component: np.ndarray, x: int, ts) -> np.ndarray:

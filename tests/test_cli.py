@@ -58,6 +58,14 @@ class TestSolve:
         assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
         assert "tol=1e-20" in lines[0]
 
+    def test_negative_u_exits_one(self, tmp_path):
+        # the functional E[exp(-u * cap)] is defined here for u >= 0 only
+        res = run_cli(["solve", "--rho", "2", "--u", "-0.5", "--trees", "1000",
+                       "--seed", "1"], tmp_path)
+        assert res.returncode == 1, res.stderr
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == ["error: u must be nonnegative"]
+
     def test_flag_error_exits_two(self, tmp_path):
         res = run_cli(["solve", "--rho"], tmp_path)
         assert res.returncode == 2, res.stderr

@@ -96,9 +96,10 @@ class TestRunTrials:
             run_trials(None, 8, _failing_trial, root=derive_stream(1, 0))
         assert err.value.trial_index == 3
 
-    def test_threads_env_validation(self, monkeypatch):
-        monkeypatch.setenv(engine.THREADS_ENV_VAR, "0")
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("value", ["0", "abc"])
+    def test_threads_env_validation(self, monkeypatch, value):
+        monkeypatch.setenv(engine.THREADS_ENV_VAR, value)
+        with pytest.raises(ValueError, match=f"VACANTLAB_THREADS must be a positive integer, got '{value}'"):
             engine.worker_count(4)
 
 

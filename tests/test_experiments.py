@@ -97,7 +97,7 @@ class TestSizeRelation:
 class TestHittingVacancy:
     def test_report_fields_and_bounds(self):
         rep = hitting_and_vacancy_report(4000, 2.0, 0.3, 4, derive_stream(44, 0),
-                                         n_walks=400, n_escape_walks=800)
+                                         n_walks=400)
         assert rep.t_steps > 0
         assert len(rep.rows) == 4
         for row in rep.rows:

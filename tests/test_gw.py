@@ -248,6 +248,27 @@ class TestCapacityFunctional:
             mc_capacity_functional(-0.1, 2.0, 50, 40, 100, derive_stream(1, 0))
         with pytest.raises(ValueError):
             mc_capacity_functional(0.1, 0.9, 50, 40, 100, derive_stream(1, 0))
+        with pytest.raises(ValueError, match="u must be nonnegative"):
+            capacity_samples(2.0, 8, 100, derive_stream(1, 0)).functional(-0.5)
+
+
+class TestCapacitySamplesGolden:
+    """Pool-sampler bytes are pinned: the samples at the working and the
+    diagnostic radius must not change when the pool bookkeeping does."""
+
+    @pytest.mark.parametrize("radius, diagnostic_radius, digest", [
+        (12, 7, "ef8399a1c7515fbf81afa307b5f80e4aa80383cfbfef0f65c389850c72890fbf"),
+        (6, 1, "180a53c889026bbd922681e9ff512edfd7c6df5debd00912ef2c07d60a8fbb7d"),
+        (5, None, "ca15fa4e2094682928aba00fc9a7c8a9df541048d114857be85e80c9cf8fd8ea"),
+        (0, None, "ca421e721840435ef5b1eb1e33c89f482c50c0566523072b39de9326c8efc626"),
+    ])
+    def test_samples_unchanged(self, radius, diagnostic_radius, digest):
+        s = capacity_samples(2.0, radius, 2000, derive_stream(71, 0))
+        assert s.diagnostic_radius == diagnostic_radius
+        h = hashlib.sha256(s.caps.tobytes())
+        if s.caps_diagnostic is not None:
+            h.update(s.caps_diagnostic.tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestConditionedVsRejection:

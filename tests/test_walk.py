@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from conftest import (
     build_graph,
     complete_graph,
     cycle_graph,
+    escape_probability_ball_oracle,
     hitting_tail_matrix_oracle,
     star_graph,
 )
@@ -19,7 +21,6 @@ from vacantlab.walk import (
     run_walk_first_visits,
     run_walk_vacant,
     spectral_gap,
-    stationary_start,
     vacant_components,
     vacant_from_first_visits,
     walk_time,
@@ -50,14 +51,21 @@ class TestWalkTime:
 
 
 class TestStationaryStart:
-    def test_single_vertex_component(self):
+    def test_single_vertex_component_draws_nothing(self):
         g = sample_er(1, 0.0, derive_stream(1, 0))
-        assert stationary_start(g, np.array([0]), derive_stream(1, 1)) == 0
+        gen = derive_stream(1, 1).generator()
+        assert walk._stationary_starts(g, np.array([0]), 3, gen).tolist() == [0, 0, 0]
+        assert gen.random() == derive_stream(1, 1).generator().random()
+
+    def test_empty_component_rejected(self):
+        g = sample_er(3, 0.0, derive_stream(1, 0))
+        with pytest.raises(ValueError, match="empty"):
+            walk._stationary_starts(g, np.zeros(0, dtype=np.int64), 1, derive_stream(1, 1))
 
     def test_disconnected_input_rejected(self):
         g = sample_er(3, 0.0, derive_stream(1, 0))
         with pytest.raises(ValueError, match="disconnected"):
-            stationary_start(g, np.array([0, 1]), derive_stream(1, 1))
+            walk._stationary_starts(g, np.array([0, 1]), 1, derive_stream(1, 1))
 
     def test_path_center_frequency(self, path3):
         comp = whole_component(path3)
@@ -65,9 +73,6 @@ class TestStationaryStart:
         draws = walk._stationary_starts(path3, comp, 1_000_000, gen)
         freq = float((draws == 1).mean())
         assert abs(freq - 0.5) <= 0.002
-        # the public scalar draw agrees with the bulk path
-        scalar = [stationary_start(path3, comp, gen) for _ in range(20_000)]
-        assert abs(np.mean(np.array(scalar) == 1) - 0.5) <= 0.02
 
     def test_regular_component_uniform(self):
         from vacantlab._gof import chisq_pvalue_counts_vs_probs
@@ -254,7 +259,34 @@ class TestHittingTail:
         assert float(np.max(np.abs(est.tail - fit))) <= bound
 
 
+class TestKilledWalkGolden:
+    """Hitting-tail bytes are pinned: the killed-walk kernel must draw and
+    stop exactly as the dedicated hitting loop it replaced did."""
+
+    def test_hitting_tail_unchanged(self):
+        g = sample_er(2000, 2.0, derive_stream(70, 0))
+        comp = whole_component(g)
+        x = int(comp[np.argmax(g.degrees()[comp])])
+        est = estimate_hitting_tail(g, comp, x, [0, 1, 10, 100, 1000, 10000, 30000], 1000,
+                                    derive_stream(70, 1))
+        # some walkers start at x and the rest all hit it before the cap
+        assert 0.0 < 1.0 - est.tail[0] < 0.05 and est.censored_fraction == 0.0
+        h = hashlib.sha256()
+        for arr in (est.ts, est.tail, np.array([est.mean_hitting, est.censored_fraction])):
+            h.update(arr.tobytes())
+        assert h.hexdigest() == "0211ef4a7d7e0a793206560062d62a48cdd8f169decca4b270a683acfd6e6a69"
+
+
 class TestEscapeProbability:
+    def test_er_ball_matches_harmonic_solve(self):
+        g = sample_er(500, 2.0, derive_stream(72, 0))
+        comp = whole_component(g)
+        x = int(comp[0])
+        est = escape_probability(g, comp, x, 3, 20_000, derive_stream(72, 1))
+        exact = escape_probability_ball_oracle(g, x, 3)
+        assert not est.boundary_empty and 0.05 < exact < 0.95
+        assert abs(est.p_escape.mean - exact) <= 4 * est.p_escape.std_error
+
     def test_cycle_gamblers_ruin(self):
         g = cycle_graph(100)
         comp = whole_component(g)
