@@ -51,7 +51,7 @@ class TestWalkTime:
 
 
 class TestStationaryStart:
-    def test_single_vertex_component_draws_nothing(self):
+    def test_single_vertex_component(self):
         g = sample_er(1, 0.0, derive_stream(1, 0))
         gen = derive_stream(1, 1).generator()
         assert walk._stationary_starts(g, np.array([0]), 3, gen).tolist() == [0, 0, 0]
@@ -263,18 +263,23 @@ class TestKilledWalkGolden:
     """Hitting-tail bytes are pinned: the killed-walk kernel must draw and
     stop exactly as the dedicated hitting loop it replaced did."""
 
-    def test_hitting_tail_unchanged(self):
+    @pytest.mark.parametrize("ts, censored, digest", [
+        ([0, 1, 10, 100, 1000, 10000, 30000], 0.0,
+         "0211ef4a7d7e0a793206560062d62a48cdd8f169decca4b270a683acfd6e6a69"),
+        ([0, 10, 100, 1000], 0.474,
+         "bed0769c9136d87bae74ac1233e72dc4b4c88a404da76d0f33958333d931e054"),
+    ], ids=["all-hit", "censored"])
+    def test_hitting_tail_unchanged(self, ts, censored, digest):
         g = sample_er(2000, 2.0, derive_stream(70, 0))
         comp = whole_component(g)
         x = int(comp[np.argmax(g.degrees()[comp])])
-        est = estimate_hitting_tail(g, comp, x, [0, 1, 10, 100, 1000, 10000, 30000], 1000,
-                                    derive_stream(70, 1))
-        # some walkers start at x and the rest all hit it before the cap
-        assert 0.0 < 1.0 - est.tail[0] < 0.05 and est.censored_fraction == 0.0
+        est = estimate_hitting_tail(g, comp, x, ts, 1000, derive_stream(70, 1))
+        # some walkers start at x
+        assert 0.0 < 1.0 - est.tail[0] < 0.05 and est.censored_fraction == censored
         h = hashlib.sha256()
         for arr in (est.ts, est.tail, np.array([est.mean_hitting, est.censored_fraction])):
             h.update(arr.tobytes())
-        assert h.hexdigest() == "0211ef4a7d7e0a793206560062d62a48cdd8f169decca4b270a683acfd6e6a69"
+        assert h.hexdigest() == digest
 
 
 class TestEscapeProbability:
