@@ -67,6 +67,8 @@ def _cmd_solve(args) -> list[str]:
         raise ValueError("subcritical: rho must exceed 1")
     if args.radius >= args.depth:
         raise ValueError("radius exceeds truncation")
+    if args.u is not None and args.u < 0:
+        raise ValueError("u must be nonnegative")
     root = derive_stream(args.seed, 0)
     xi = critical.solve_xi(args.rho, args.tol)
     caps = gw.capacity_samples(args.rho, args.radius, args.trees, root.substream(901))

@@ -225,7 +225,12 @@ def hitting_and_vacancy_report(n: int, rho: float, u: float, n_vertices_probed: 
     """Probe uniformly chosen giant vertices: empirical vacancy at the
     intensity's time versus the escape-probability prediction, plus the
     distance of the hitting tail from its exponential fit over a grid
-    inside the probed window."""
+    inside the probed window.
+
+    One ensemble of stationary walks records the hitting tails of every
+    distinct probed vertex, so the rows share walks and their empirical
+    columns are correlated; a vertex drawn twice gives two rows with the
+    same tail. Each row's escape estimate has its own stream."""
     if n > 100_000:
         raise ValueError("n capped at 1e5 for the probing report")
     if n_vertices_probed < 1:
@@ -238,17 +243,19 @@ def hitting_and_vacancy_report(n: int, rho: float, u: float, n_vertices_probed: 
     comp = giant_vertices(components(g))
     chosen = comp[gen.integers(0, len(comp), n_vertices_probed)]
     ts = np.unique(np.maximum(1, np.round(np.linspace(t / 10, t, 10)).astype(np.int64)))
+    probed = np.unique(chosen)
+    tails = walk.estimate_hitting_tails(g, comp, probed, ts, n_walks, root.substream(5))
+    tail_of = dict(zip(probed.tolist(), tails))
     rows = []
-    for i, x in enumerate(np.asarray(chosen, dtype=np.int64)):
-        sub = root.substream(4, i)
-        esc = walk.escape_probability(g, comp, int(x), r, n_walks, sub.substream(0))
-        tailres = walk.estimate_hitting_tail(g, comp, int(x), ts, n_walks, sub.substream(1))
+    for i, x in enumerate(chosen.tolist()):
+        esc = walk.escape_probability(g, comp, x, r, n_walks, root.substream(4, i).substream(0))
+        tailres = tail_of[x]
         empirical = float(tailres.tail[-1])
         predicted = math.exp(-t * esc.p_escape.mean * esc.pi_x)
         fit = np.exp(-tailres.ts / tailres.mean_hitting)
         ks_dist = float(np.max(np.abs(tailres.tail - fit)))
         rows.append(VertexVacancyRow(
-            vertex=int(x), degree=g.degree(int(x)), pi_x=esc.pi_x,
+            vertex=x, degree=g.degree(x), pi_x=esc.pi_x,
             p_escape=esc.p_escape.mean, empirical_vacancy=empirical,
             predicted_vacancy=predicted,
             abs_error=abs(empirical - predicted),

@@ -182,64 +182,99 @@ def _step_all(g_indptr, g_indices, deg, cur, gen) -> np.ndarray:
     return g_indices[g_indptr[cur] + offs]
 
 
-def _killed_walks(g: Graph, starts: np.ndarray, stop: np.ndarray, cap: int | None,
-                  gen) -> tuple[np.ndarray, np.ndarray]:
-    """Step every walker from ``starts`` until it first lands on a vertex
-    where the boolean mask ``stop`` holds, or until ``cap`` steps (None:
+def _killed_walks(g: Graph, starts: np.ndarray, target: np.ndarray, cap: int | None,
+                  gen, *, start_counts: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Step every walker from ``starts`` and record its first hit of each
+    target j, the vertices v with ``target[v] == j`` (-1 elsewhere). A
+    walker dies once it has hit every target, or at ``cap`` steps (None:
     no cap).
 
-    Returns each walker's stopping step (-1 if still live at the cap) and
-    its last vertex. One uniform per live walker per step, in walker order.
+    With ``start_counts`` a walker hits the targets its start lies in at
+    step 0, and one whose start covers every target draws nothing;
+    without it only steps >= 1 count (a return time). The per-step test is
+    one boolean gather; the target index is read only for walkers that
+    landed on a target.
+
+    Returns the first-hit steps, one row per walker and one column per
+    target (-1 if not hit by the cap), and each walker's last vertex. One
+    uniform per live walker per step, in walker order.
     """
-    times = np.full(len(starts), -1, dtype=np.int64)
+    k = int(target.max()) + 1
+    stop = target >= 0
+    times = np.full((len(starts), k), -1, dtype=np.int64)
+    if start_counts:
+        at = np.flatnonzero(stop[starts])
+        times[at, target[starts[at]]] = 0
+    left = (times < 0).sum(axis=1)
+    flat = times.reshape(-1)  # a view: walker w, target j at w * k + j
     ends = np.array(starts, dtype=np.int64)
-    alive = np.arange(len(starts))
-    cur = starts
+    alive = np.flatnonzero(left > 0)
+    cur = ends[alive]
     indptr, indices, deg = g.indptr, g.indices, g.degrees()
     step = 0
     while len(alive) > 0 and (cap is None or step < cap):
         step += 1
         cur = _step_all(indptr, indices, deg, cur, gen)
-        hits = stop[cur]
-        if hits.any():
-            times[alive[hits]] = step
-            ends[alive[hits]] = cur[hits]
-            keep = ~hits
-            alive = alive[keep]
-            cur = cur[keep]
+        on = stop[cur]
+        if on.any():
+            w = alive[on]
+            if k == 1:  # every hit is the walker's first and last
+                flat[w] = step
+            else:
+                slot = w * k + target[cur[on]]
+                first = flat[slot] < 0
+                flat[slot[first]] = step
+                left[w[first]] -= 1
+                on[on] = left[w] == 0
+            ends[alive[on]] = cur[on]
+            keep = ~on
+            alive, cur = alive[keep], cur[keep]
     ends[alive] = cur
     return times, ends
 
 
-def estimate_hitting_tail(g: Graph, component: np.ndarray, x: int, ts, n_walks: int, rng) -> HittingTailEstimate:
-    """Empirical P[H_x > t] on the given time grid from stationary-start
-    walks, plus the censored-exponential estimate of E[H_x].
+def estimate_hitting_tails(g: Graph, component: np.ndarray, targets, ts, n_walks: int,
+                           rng) -> list[HittingTailEstimate]:
+    """Empirical P[H_x > t] on the given time grid for every x in
+    ``targets``, plus the censored-exponential estimate of E[H_x], all from
+    one ensemble of stationary-start walks.
 
-    Walks are capped at max(ts); capped walks enter the mean as censored
-    observations (total observed time / number of hits) and their
-    fraction is reported.
+    Each walker records its first hit of every target and is capped at
+    max(ts); capped walks enter each mean as censored observations (total
+    observed time / number of hits) and their fraction is reported. The
+    estimates share walks, so they are correlated across targets.
     """
     if n_walks < 1:
         raise ValueError("n_walks must be positive")
     ts = np.asarray(sorted(int(t) for t in ts), dtype=np.int64)
     if len(ts) == 0:
         raise ValueError("need at least one time point")
+    targets = np.asarray(targets, dtype=np.int64)
+    if len(np.unique(targets)) < len(targets):
+        raise ValueError("targets must be distinct")
     gen = as_generator(rng)
     cap = int(ts[-1])
     starts = _stationary_starts(g, component, n_walks, gen)
-    stop = np.zeros(g.n, dtype=bool)
-    stop[x] = True
-    hit_time = np.zeros(n_walks, dtype=np.int64)
-    away = starts != x
-    times, _ = _killed_walks(g, starts[away], stop, cap, gen)
-    hit_time[away] = np.where(times < 0, cap + 1, times)
-    tail = np.array([(hit_time > t).mean() for t in ts])
+    target = np.full(g.n, -1, dtype=np.int64)
+    target[targets] = np.arange(len(targets))
+    times, _ = _killed_walks(g, starts, target, cap, gen, start_counts=True)
+    hit_time = np.where(times < 0, cap + 1, times)
+    tails = (hit_time[:, :, None] > ts).mean(axis=0)
     censored = hit_time > cap
-    n_hits = int((~censored).sum())
-    observed = np.minimum(hit_time, cap).sum()
-    mean_hit = float(observed / n_hits) if n_hits > 0 else math.inf
-    return HittingTailEstimate(vertex=int(x), ts=ts, tail=tail, mean_hitting=mean_hit,
-                               censored_fraction=float(censored.mean()), n_walks=n_walks)
+    n_hits = (~censored).sum(axis=0)
+    observed = np.minimum(hit_time, cap).sum(axis=0)
+    out = []
+    for j, x in enumerate(targets):
+        mean_hit = float(observed[j] / n_hits[j]) if n_hits[j] > 0 else math.inf
+        out.append(HittingTailEstimate(vertex=int(x), ts=ts, tail=tails[j], mean_hitting=mean_hit,
+                                       censored_fraction=float(censored[:, j].mean()),
+                                       n_walks=n_walks))
+    return out
+
+
+def estimate_hitting_tail(g: Graph, component: np.ndarray, x: int, ts, n_walks: int, rng) -> HittingTailEstimate:
+    """``estimate_hitting_tails`` for the one target x."""
+    return estimate_hitting_tails(g, component, [x], ts, n_walks, rng)[0]
 
 
 def ball(g: Graph, x: int, r: int) -> tuple[np.ndarray, bool]:
@@ -284,11 +319,12 @@ def escape_probability(g: Graph, component: np.ndarray, x: int, r: int, n_walks:
     if covers:
         return EscapeEstimate(vertex=int(x), radius=r, p_escape=aggregate([0.0] * n_walks),
                               pi_x=pi_x, boundary_empty=True)
-    stop = np.ones(g.n, dtype=bool)
-    stop[members] = False
-    stop[x] = True
+    target = np.zeros(g.n, dtype=np.int64)
+    target[members] = -1
+    target[x] = 0
     # the ball has a boundary, so every walker stops almost surely
-    _, ends = _killed_walks(g, np.full(n_walks, x, dtype=np.int64), stop, None, gen)
+    _, ends = _killed_walks(g, np.full(n_walks, x, dtype=np.int64), target, None, gen,
+                            start_counts=False)
     return EscapeEstimate(vertex=int(x), radius=r, p_escape=aggregate(ends != x),
                           pi_x=pi_x, boundary_empty=False)
 

@@ -66,6 +66,18 @@ class TestSolve:
         assert res.stdout == ""
         assert res.stderr.splitlines() == ["error: u must be nonnegative"]
 
+    def test_negative_u_rejected_before_sampling(self, tmp_path, monkeypatch, capsys):
+        from vacantlab import cli, gw
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("capacity samples drawn for a rejected u")
+
+        monkeypatch.setattr(gw, "capacity_samples", no_sampling)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["solve", "--rho", "2", "--u", "-0.5", "--seed", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: u must be nonnegative"]
+
     def test_flag_error_exits_two(self, tmp_path):
         res = run_cli(["solve", "--rho"], tmp_path)
         assert res.returncode == 2, res.stderr

@@ -3,7 +3,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from vacantlab import critical, experiments, gw
+from vacantlab import critical, experiments, gw, walk
 from vacantlab.engine import derive_stream
 from vacantlab.experiments import (
     SWEEP_COLUMNS,
@@ -14,6 +14,7 @@ from vacantlab.experiments import (
     sweep_records_to_csv,
     sweep_vacant_structure,
 )
+from vacantlab.random_graph import components, giant_vertices, sample_er
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +121,26 @@ class TestHittingVacancy:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             hitting_and_vacancy_report(200_000, 2.0, 0.3, 2, derive_stream(44, 1))
+
+    def test_repeated_probe_rows_share_one_tail(self):
+        # 40 draws with replacement from a ~240-vertex giant repeat vertices;
+        # the one shared ensemble holds a single tail per distinct vertex
+        rep = hitting_and_vacancy_report(300, 2.0, 0.3, 40, derive_stream(44, 3), n_walks=200)
+        by_vertex = {}
+        for row in rep.rows:
+            by_vertex.setdefault(row.vertex, []).append(row)
+        repeated = [rows for rows in by_vertex.values() if len(rows) > 1]
+        assert len(rep.rows) == 40 and repeated
+        for rows in repeated:
+            assert len({(row.empirical_vacancy, row.censored_fraction) for row in rows}) == 1
+
+    def test_repeated_targets_rejected(self):
+        g = sample_er(300, 2.0, derive_stream(44, 4))
+        comp = giant_vertices(components(g))
+        x = int(comp[0])
+        with pytest.raises(ValueError, match="distinct"):
+            walk.estimate_hitting_tails(g, comp, [x, int(comp[1]), x], [1, 5], 10,
+                                        derive_stream(44, 5))
 
 
 class TestCrossingRoute:

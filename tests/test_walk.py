@@ -18,6 +18,7 @@ from vacantlab.random_graph import components, giant_vertices, graph_from_edges,
 from vacantlab.walk import (
     escape_probability,
     estimate_hitting_tail,
+    estimate_hitting_tails,
     run_walk_first_visits,
     run_walk_vacant,
     spectral_gap,
@@ -233,6 +234,25 @@ class TestHittingTail:
         for emp, exact in zip(est.tail, oracle):
             assert abs(emp - exact) <= 4 * math.sqrt(0.25 / est.n_walks)
 
+    @pytest.mark.parametrize("edges, targets", [
+        ([(0, 1), (1, 2)], [0, 2]),
+        ([(0, 1), (1, 2)], [2, 1]),
+        ([(0, 1)], [0, 1]),
+    ], ids=["path3-ends", "path3-end-middle", "single-edge"])
+    def test_shared_ensemble_matches_exact_chain(self, edges, targets):
+        # one ensemble for two targets: each tail is its own killed chain,
+        # and a walker that starts on one target walks on to the other
+        g = build_graph(max(max(e) for e in edges) + 1, edges)
+        comp = whole_component(g)
+        ts = [0, 1, 2, 3, 5, 8, 13]
+        ests = estimate_hitting_tails(g, comp, targets, ts, 40_000, derive_stream(8, 3))
+        assert [est.vertex for est in ests] == targets
+        for x, est in zip(targets, ests):
+            oracle = hitting_tail_matrix_oracle(g, comp, x, ts)
+            assert 0.0 < oracle[0] < 1.0
+            for emp, exact in zip(est.tail, oracle):
+                assert abs(emp - exact) <= 4 * math.sqrt(0.25 / est.n_walks)
+
     def test_censoring_reported(self):
         g = cycle_graph(50)
         comp = whole_component(g)
@@ -260,8 +280,9 @@ class TestHittingTail:
 
 
 class TestKilledWalkGolden:
-    """Hitting-tail bytes are pinned: the killed-walk kernel must draw and
-    stop exactly as the dedicated hitting loop it replaced did."""
+    """Hitting-tail and escape bytes are pinned: with one target the
+    killed-walk kernel must draw and stop exactly as the dedicated loops
+    it replaced did."""
 
     @pytest.mark.parametrize("ts, censored, digest", [
         ([0, 1, 10, 100, 1000, 10000, 30000], 0.0,
@@ -280,6 +301,19 @@ class TestKilledWalkGolden:
         for arr in (est.ts, est.tail, np.array([est.mean_hitting, est.censored_fraction])):
             h.update(arr.tobytes())
         assert h.hexdigest() == digest
+
+    def test_escape_unchanged(self):
+        g = sample_er(2000, 2.0, derive_stream(71, 0))
+        comp = whole_component(g)
+        r = walk.default_ball_radius(2000, 2.0)
+        xs = [int(comp[0]), int(comp[len(comp) // 2]), int(comp[np.argmax(g.degrees()[comp])])]
+        h = hashlib.sha256()
+        for i, x in enumerate(xs):
+            est = escape_probability(g, comp, x, r, 1000, derive_stream(71, 1).substream(i))
+            p = est.p_escape
+            assert not est.boundary_empty and 0.1 < p.mean < 0.5
+            h.update(np.array([p.mean, p.std_error, p.ci95_low, p.ci95_high, p.n_samples]).tobytes())
+        assert h.hexdigest() == "ad1fd960956b40c72596c82ab7852eb0999a013db5289a02093a47c5a5aac2a2"
 
 
 class TestEscapeProbability:
