@@ -280,9 +280,8 @@ class TestHittingTail:
 
 
 class TestKilledWalkGolden:
-    """Hitting-tail and escape bytes are pinned: with one target the
-    killed-walk kernel must draw and stop exactly as the dedicated loops
-    it replaced did."""
+    """Hitting-tail bytes are pinned: the killed-walk kernel must draw and
+    stop exactly as the dedicated hitting loop it replaced did."""
 
     @pytest.mark.parametrize("ts, censored, digest", [
         ([0, 1, 10, 100, 1000, 10000, 30000], 0.0,
@@ -301,6 +300,11 @@ class TestKilledWalkGolden:
         for arr in (est.ts, est.tail, np.array([est.mean_hitting, est.censored_fraction])):
             h.update(arr.tobytes())
         assert h.hexdigest() == digest
+
+
+class TestEscapeGolden:
+    """Escape bytes are pinned: the kernel's stop rule for many targets
+    must leave the one-target return-time walk drawing as before."""
 
     def test_escape_unchanged(self):
         g = sample_er(2000, 2.0, derive_stream(71, 0))
