@@ -218,14 +218,11 @@ def _killed_walks(g: Graph, starts: np.ndarray, target: np.ndarray, cap: int | N
         on = stop[cur]
         if on.any():
             w = alive[on]
-            if k == 1:  # every hit is the walker's first and last
-                flat[w] = step
-            else:
-                slot = w * k + target[cur[on]]
-                first = flat[slot] < 0
-                flat[slot[first]] = step
-                left[w[first]] -= 1
-                on[on] = left[w] == 0
+            slot = w * k + target[cur[on]]
+            first = flat[slot] < 0
+            flat[slot[first]] = step
+            left[w[first]] -= 1
+            on[on] = left[w] == 0
             ends[alive[on]] = cur[on]
             keep = ~on
             alive, cur = alive[keep], cur[keep]
@@ -258,16 +255,15 @@ def estimate_hitting_tails(g: Graph, component: np.ndarray, targets, ts, n_walks
     target = np.full(g.n, -1, dtype=np.int64)
     target[targets] = np.arange(len(targets))
     times, _ = _killed_walks(g, starts, target, cap, gen, start_counts=True)
-    hit_time = np.where(times < 0, cap + 1, times)
-    tails = (hit_time[:, :, None] > ts).mean(axis=0)
-    censored = hit_time > cap
-    n_hits = (~censored).sum(axis=0)
-    observed = np.minimum(hit_time, cap).sum(axis=0)
     out = []
     for j, x in enumerate(targets):
-        mean_hit = float(observed[j] / n_hits[j]) if n_hits[j] > 0 else math.inf
-        out.append(HittingTailEstimate(vertex=int(x), ts=ts, tail=tails[j], mean_hitting=mean_hit,
-                                       censored_fraction=float(censored[:, j].mean()),
+        hit_time = np.where(times[:, j] < 0, cap + 1, times[:, j])
+        censored = hit_time > cap
+        n_hits = int((~censored).sum())
+        observed = int(np.minimum(hit_time, cap).sum())
+        mean_hit = float(observed / n_hits) if n_hits > 0 else math.inf
+        out.append(HittingTailEstimate(vertex=int(x), ts=ts, tail=(hit_time[:, None] > ts).mean(axis=0),
+                                       mean_hitting=mean_hit, censored_fraction=float(censored.mean()),
                                        n_walks=n_walks))
     return out
 
