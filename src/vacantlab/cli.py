@@ -14,7 +14,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from . import __version__, critical, experiments, exploration, gw
-from .engine import TrialError, derive_stream
+from .engine import RngStream, TrialError, derive_stream
 
 _JSON_KW = dict(indent=2, sort_keys=False, ensure_ascii=False)
 
@@ -62,16 +62,24 @@ def _write_manifest(command: str, args: argparse.Namespace, argv: list[str],
         fh.write(json.dumps(asdict(manifest), **_JSON_KW) + "\n")
 
 
-def _cmd_solve(args) -> list[str]:
+def _capacity_stream(args) -> RngStream:
+    """Checks of ``solve`` and ``capacity`` that need no sampling; returns
+    the stream their capacity samples are drawn from."""
     if args.rho <= 1.0:
         raise ValueError("subcritical: rho must exceed 1")
     if args.radius >= args.depth:
         raise ValueError("radius exceeds truncation")
     if args.u is not None and args.u < 0:
         raise ValueError("u must be nonnegative")
-    root = derive_stream(args.seed, 0)
+    if args.trees < 1:
+        raise ValueError("n_trees must be positive")
+    return derive_stream(args.seed, 0).substream(901)
+
+
+def _cmd_solve(args) -> list[str]:
+    stream = _capacity_stream(args)
     xi = critical.solve_xi(args.rho, args.tol)
-    caps = gw.capacity_samples(args.rho, args.radius, args.trees, root.substream(901))
+    caps = gw.capacity_samples(args.rho, args.radius, args.trees, stream)
     u_star = critical.solve_u_star(args.rho, caps.functional)
     out = {
         "rho": args.rho,
@@ -138,15 +146,15 @@ def _cmd_er_check(args) -> list[str]:
 
 
 def _cmd_capacity(args) -> list[str]:
-    est = gw.mc_capacity_functional(args.u, args.rho, args.depth, args.radius,
-                                    args.trees, derive_stream(args.seed, 0).substream(901))
-    diag = est.estimate_at_radius_minus_5
+    caps = gw.capacity_samples(args.rho, args.radius, args.trees, _capacity_stream(args))
+    est = caps.functional(args.u)
     out = {
-        "estimate": est.estimate.mean,
-        "ci": [est.estimate.ci95_low, est.estimate.ci95_high],
-        "estimate_at_radius_minus_5": diag.mean if diag else None,
-        "radius": est.radius,
-        "trees": est.n_trees,
+        "estimate": est.mean,
+        "ci": [est.ci95_low, est.ci95_high],
+        "estimate_at_radius_minus_5":
+            caps.functional(args.u, diagnostic=True).mean if caps.diagnostic_radius else None,
+        "radius": args.radius,
+        "trees": args.trees,
     }
     return _emit(out, getattr(args, "out", None))
 

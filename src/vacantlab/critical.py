@@ -92,35 +92,28 @@ def solve_u_star(rho: float, functional, tol_u: float = 1e-6) -> UStarResult:
         raise ValueError("subcritical: no critical intensity")
     xi = solve_xi(rho)
 
-    def make_res(pick):
-        return lambda u: residual(pick(functional(u)), rho, xi)
+    def crossing(pick, hi: float) -> tuple[float, float]:
+        """Root of the residual along ``pick`` of the functional, after
+        doubling ``hi`` until the residual there is not positive."""
+        res = lambda u: residual(pick(functional(u)), rho, xi)
+        while res(hi) > 0.0:
+            hi *= 2.0
+            if hi > U_MAX_CAP:
+                raise ValueError("no sign change: capacity functional looks broken")
+        return _bisect(res, 0.0, hi, tol_u), hi
 
-    res_mean = make_res(lambda e: e.mean)
-    hi = 1.0
-    while res_mean(hi) > 0.0:
-        hi *= 2.0
-        if hi > U_MAX_CAP:
-            raise ValueError("no sign change: capacity functional looks broken")
-    u_star = _bisect(res_mean, 0.0, hi, tol_u)
-
+    u_star, hi = crossing(lambda e: e.mean, 1.0)
     # Underestimated F crosses earlier (low end), overestimated F later (high end).
-    res_low = make_res(lambda e: e.ci95_low)
-    res_high = make_res(lambda e: e.ci95_high)
-    lo_end = _bisect(res_low, 0.0, hi, tol_u)
-    hi_end = hi
-    while res_high(hi_end) > 0.0:
-        hi_end *= 2.0
-        if hi_end > U_MAX_CAP:
-            raise ValueError("no sign change at upper functional band")
-    hi_end = _bisect(res_high, 0.0, hi_end, tol_u)
+    lo_end, _ = crossing(lambda e: e.ci95_low, hi)
+    hi_end, _ = crossing(lambda e: e.ci95_high, hi)
     ci_low, ci_high = sorted((lo_end, hi_end))
     return UStarResult(u_star=u_star, ci_low=ci_low, ci_high=ci_high)
 
 
 def solve_zeta(u: float, rho: float, functional_value: float, tol: float = DEFAULT_TOL) -> float:
     """Giant-cluster equation of the vacant graph: the unique solution in
-    (0,1) of exp(-zeta*mu) = 1 - zeta with
-    mu = rho*xi*functional_value + rho*(1-xi).
+    (0,1) of exp(-zeta*mu) = 1 - zeta, the survival equation ``solve_xi``
+    solves, at mean mu = rho*xi*functional_value + rho*(1-xi).
 
     Requires mu > 1 (supercritical vacant graph, u below the critical
     intensity); callers should report 0 in the subcritical regime.
@@ -129,5 +122,4 @@ def solve_zeta(u: float, rho: float, functional_value: float, tol: float = DEFAU
     mu = vacant_mean_degree(rho, xi, functional_value)
     if mu <= 1.0:
         raise ValueError("subcritical: zeta = 0 regime")
-    g = lambda z: math.exp(-mu * z) - 1.0 + z
-    return _bisect(lambda z: -g(z), 1e-16, 1.0 - 1e-16, tol)
+    return solve_xi(mu, tol)

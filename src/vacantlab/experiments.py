@@ -23,12 +23,6 @@ from .random_graph import components, giant_vertices, sample_er
 DEFAULT_N_TREES = 100_000
 DEFAULT_RADIUS = gw.DEFAULT_RADIUS
 
-SWEEP_COLUMNS = [
-    "n", "rho", "u", "trial", "seed", "t_steps", "giant_size", "vacant_size",
-    "c1_vacant", "c2_vacant", "zeta_predicted", "vacant_fraction_predicted",
-]
-
-
 @dataclass(frozen=True)
 class SweepRecord:
     n: int
@@ -49,6 +43,9 @@ class SweepRecord:
               <= self.giant_size <= self.n)
         if not ok:
             raise ValueError(f"ordering invariant violated: {self}")
+
+
+SWEEP_COLUMNS = [f.name for f in fields(SweepRecord)]
 
 
 def sweep_records_to_csv(records: list[SweepRecord]) -> str:
@@ -79,28 +76,24 @@ def sweep_records_from_csv(text: str) -> list[SweepRecord]:
 class _SweepTrialConfig:
     n: int
     rho: float
-    u_grid: tuple
     t_by_u: tuple
-    zeta_by_u: tuple
-    fraction_by_u: tuple
 
 
-def _sweep_trial(cfg: _SweepTrialConfig, stream: RngStream) -> list[tuple]:
+def _sweep_trial(cfg: _SweepTrialConfig, stream: RngStream) -> tuple:
+    """One graph and one walk of its giant: the stream's seed, the giant's
+    size and, per walk time, the vacant size and its two largest
+    component sizes."""
     g = sample_er(cfg.n, cfg.rho, stream.substream(0))
-    labeling = components(g)
-    comp = giant_vertices(labeling)
-    giant_size = len(comp)
-    t_max = max(cfg.t_by_u)
-    times = walk.run_walk_first_visits(g, comp, t_max, stream.substream(1))
+    comp = giant_vertices(components(g))
+    times = walk.run_walk_first_visits(g, comp, max(cfg.t_by_u), stream.substream(1))
     rows = []
-    for u, t, zeta_p, frac_p in zip(cfg.u_grid, cfg.t_by_u, cfg.zeta_by_u, cfg.fraction_by_u):
+    for t in cfg.t_by_u:
         vac = walk.vacant_from_first_visits(comp, times, t)
         lab = walk.vacant_components(g, vac)
         c1 = int(lab.sizes[0]) if lab.n_components > 0 else 0
         c2 = int(lab.sizes[1]) if lab.n_components > 1 else 0
-        rows.append((u, t, giant_size, vac.size, c1, c2, zeta_p, frac_p,
-                     stream.root_seed))
-    return rows
+        rows.append((vac.size, c1, c2))
+    return stream.root_seed, len(comp), rows
 
 
 def sweep_vacant_structure(n: int, rho: float, u_grid, n_trials: int, root: RngStream,
@@ -119,26 +112,20 @@ def sweep_vacant_structure(n: int, rho: float, u_grid, n_trials: int, root: RngS
     xi = critical.solve_xi(rho)
     if caps is None:
         caps = gw.capacity_samples(rho, radius, n_trees, root.substream(901))
-    zeta_by_u = []
-    fraction_by_u = []
-    t_by_u = []
-    for u in u_grid:
-        f_u = caps.functional(u).mean
-        supercritical = critical.vacant_mean_degree(rho, xi, f_u) > 1.0
-        zeta_by_u.append(critical.solve_zeta(u, rho, f_u) if supercritical else 0.0)
-        fraction_by_u.append(xi * f_u)
-        t_by_u.append(walk.walk_time(u, rho, xi, n))
-    cfg = _SweepTrialConfig(n=n, rho=rho, u_grid=tuple(u_grid), t_by_u=tuple(t_by_u),
-                            zeta_by_u=tuple(zeta_by_u), fraction_by_u=tuple(fraction_by_u))
+    t_by_u = tuple(walk.walk_time(u, rho, xi, n) for u in u_grid)
+    cfg = _SweepTrialConfig(n=n, rho=rho, t_by_u=t_by_u)
     per_trial = run_trials(cfg, n_trials, _sweep_trial, root=root, max_workers=max_workers)
     records = []
-    for ui, u in enumerate(u_grid):
-        for trial, rows in enumerate(per_trial):
-            (u_, t, giant_size, vac_size, c1, c2, zeta_p, frac_p, seed) = rows[ui]
-            rec = SweepRecord(n=n, rho=rho, u=u_, trial=trial, seed=seed, t_steps=t,
+    for ui, (u, t) in enumerate(zip(u_grid, t_by_u)):
+        f_u = caps.functional(u).mean
+        supercritical = critical.vacant_mean_degree(rho, xi, f_u) > 1.0
+        zeta = critical.solve_zeta(u, rho, f_u) if supercritical else 0.0
+        for trial, (seed, giant_size, rows) in enumerate(per_trial):
+            vac_size, c1, c2 = rows[ui]
+            rec = SweepRecord(n=n, rho=rho, u=u, trial=trial, seed=seed, t_steps=t,
                               giant_size=giant_size, vacant_size=vac_size,
-                              c1_vacant=c1, c2_vacant=c2, zeta_predicted=zeta_p,
-                              vacant_fraction_predicted=frac_p)
+                              c1_vacant=c1, c2_vacant=c2, zeta_predicted=zeta,
+                              vacant_fraction_predicted=xi * f_u)
             rec.validate()
             records.append(rec)
     return records

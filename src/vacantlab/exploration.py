@@ -52,13 +52,14 @@ class _Uniforms:
 
 @dataclass
 class ExplorationState:
-    """Live state of the exploring process at time ``step``."""
+    """Live state of the exploring process at time ``step``. A vertex is
+    visited exactly when it is missing from ``_unvisited`` (its
+    ``_position`` is -1)."""
 
     n: int
     p: float
     step: int
     current: int
-    visited: np.ndarray
     explored_adjacency: list
     frontier_count: int
     jumps: int
@@ -66,7 +67,6 @@ class ExplorationState:
     _unvisited: list = field(repr=False)
     _position: list = field(repr=False)
     _frontier_flag: list = field(repr=False)
-    _explored: list = field(repr=False)
     _draw: _Uniforms = field(repr=False)
     _log1mp: float = field(repr=False, default=0.0)
 
@@ -78,37 +78,25 @@ class ExplorationState:
         return np.array(sorted(self._unvisited), dtype=np.int64)
 
 
-def _remove_unvisited(state: ExplorationState, v: int) -> None:
-    pos = state._position[v]
-    last = state._unvisited[-1]
-    state._unvisited[pos] = last
-    state._position[last] = pos
-    state._unvisited.pop()
-    state._position[v] = -1
-    if state._frontier_flag[v]:
-        state._frontier_flag[v] = False
-        state.frontier_count -= 1
-
-
-def _mark_visited(state: ExplorationState, v: int) -> None:
-    if not state.visited[v]:
-        state.visited[v] = True
-        _remove_unvisited(state, v)
-
-
-def _explore_current(state: ExplorationState) -> None:
-    """Sample the pending edges at the current vertex: one Bernoulli(p)
-    per currently-unvisited vertex, via geometric gap skipping."""
-    v = state.current
-    if state._explored[v]:
-        return
-    state._explored[v] = True
+def _visit(state: ExplorationState, v: int) -> None:
+    """First visit of v: swap-remove it from the unvisited list, then
+    sample its pending edges, one Bernoulli(p) per still-unvisited vertex,
+    via geometric gap skipping."""
     unvisited = state._unvisited
+    pos = state._position[v]
+    last = unvisited[-1]
+    unvisited[pos] = last
+    state._position[last] = pos
+    unvisited.pop()
+    state._position[v] = -1
+    flags = state._frontier_flag
+    if flags[v]:
+        flags[v] = False
+        state.frontier_count -= 1
     count = len(unvisited)
     if count == 0 or state.p <= 0.0:
         return
     adj = state.explored_adjacency
-    flags = state._frontier_flag
     if state.p >= 1.0:
         hits = list(unvisited)
     else:
@@ -130,8 +118,8 @@ def _explore_current(state: ExplorationState) -> None:
 
 
 def new_exploration(n: int, rho: float, rng) -> ExplorationState:
-    """Fresh exploration: a uniform starting vertex, marked visited, with
-    its edges becoming explorable on the first advance."""
+    """Fresh exploration: a uniform starting vertex, visited, with its
+    edges already sampled."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if rho < 0:
@@ -142,11 +130,9 @@ def new_exploration(n: int, rho: float, rng) -> ExplorationState:
     p = rho / n
     draw = _Uniforms(gen)
     start = int(gen.integers(0, n))
-    visited = np.zeros(n, dtype=bool)
-    visited[start] = True
-    unvisited = [v for v in range(n) if v != start]
-    position = list(range(n))
-    position[start] = -1
+    # the start goes last, so removing it leaves the others in vertex order
+    unvisited = [v for v in range(n) if v != start] + [start]
+    position = [0] * n
     for pos, v in enumerate(unvisited):
         position[v] = pos
     state = ExplorationState(
@@ -154,7 +140,6 @@ def new_exploration(n: int, rho: float, rng) -> ExplorationState:
         p=p,
         step=0,
         current=start,
-        visited=visited,
         explored_adjacency=[[] for _ in range(n)],
         frontier_count=0,
         jumps=0,
@@ -162,23 +147,21 @@ def new_exploration(n: int, rho: float, rng) -> ExplorationState:
         _unvisited=unvisited,
         _position=position,
         _frontier_flag=[False] * n,
-        _explored=[False] * n,
         _draw=draw,
         _log1mp=math.log1p(-p) if 0.0 < p < 1.0 else 0.0,
     )
-    _explore_current(state)
+    _visit(state, start)
     return state
 
 
 def advance(state: ExplorationState) -> bool:
-    """One step: explore pending edges at the current vertex, then either
-    move to a uniform open neighbor (marking it visited) or, when the
-    current vertex has no open neighbor or no unvisited vertex touches an
-    open edge, jump to a uniform vertex. Returns False as a no-op flag
-    when the state is already covered."""
+    """One step: move to a uniform open neighbor of the current vertex or,
+    when it has none or no unvisited vertex touches an open edge, jump to a
+    uniform vertex; a vertex reached for the first time samples its
+    pending edges. Returns False as a no-op flag when the state is already
+    covered."""
     if state.covered:
         return False
-    _explore_current(state)
     neighbors = state.explored_adjacency[state.current]
     draw = state._draw
     if neighbors and state.frontier_count > 0:
@@ -186,10 +169,10 @@ def advance(state: ExplorationState) -> bool:
     else:
         nxt = int(draw.next() * state.n)
         state.jumps += 1
-    _mark_visited(state, nxt)
+    if state._position[nxt] >= 0:
+        _visit(state, nxt)
     state.current = nxt
     state.step += 1
-    _explore_current(state)
     if len(state._unvisited) == 0:
         state.covered = True
     return True
@@ -287,11 +270,12 @@ def _er_trial(cfg: _ErTrialConfig, stream: RngStream) -> tuple:
 def er_law_check(n: int, rho: float, u: float, n_trials: int, root: RngStream) -> ErLawReport:
     """Statistical check that the vacant graph is a fresh random graph.
 
-    Runs ``n_trials`` explorations to walk_time(u) + default_burn_in(n),
-    snapshots each, and tests (i) per-trial edge counts against their
-    binomial law, pooled through a randomized PIT into a KS-uniformity
-    p-value, and (ii) the pooled degree histogram against the per-trial
-    binomial degree mixture by chi-square. Also reports the mean vacant vertex
+    Runs ``n_trials`` explorations to walk_time(u) + default_burn_in(n)
+    (only the burn-in when rho <= 1, where u must be 0), snapshots each,
+    and tests (i) per-trial edge counts against their binomial law, pooled
+    through a randomized PIT into a KS-uniformity p-value, and (ii) the
+    pooled degree histogram against the per-trial binomial degree mixture
+    by chi-square. Also reports the mean vacant vertex
     fraction and the mean vacant-graph degree, the quantity whose
     crossing of 1 locates the critical intensity.
 
@@ -301,6 +285,10 @@ def er_law_check(n: int, rho: float, u: float, n_trials: int, root: RngStream) -
     """
     if n_trials < 50:
         raise ValueError("need at least 50 trials")
+    if u < 0:
+        raise ValueError("u must be nonnegative")
+    if u > 0 and rho <= 1.0:
+        raise ValueError("u must be 0 when rho <= 1 (no giant component to scale the walk time)")
     from scipy.stats import binom
 
     t = default_burn_in(n)

@@ -352,30 +352,3 @@ def capacity_samples_direct(rho: float, radius: int, n_samples: int, rng,
         caps.append(conductance_to_boundary(tree, radius).capacity)
     return np.array(caps), aborted
 
-
-@dataclass(frozen=True)
-class FunctionalEstimate:
-    estimate: EstimateCI
-    estimate_at_radius_minus_5: EstimateCI | None
-    radius: int
-    n_trees: int
-
-
-def mc_capacity_functional(u: float, rho: float, depth_cap: int, radius: int,
-                           n_trees: int, rng) -> FunctionalEstimate:
-    """Monte Carlo estimate of E[exp(-u * cap(root))] over
-    survival-conditioned trees, with a shortened-radius re-estimate on the
-    same randomness as a truncation-convergence diagnostic."""
-    if u < 0:
-        raise ValueError("u must be nonnegative")
-    if rho <= 1.0:
-        raise ValueError("supercritical rho required")
-    if radius >= depth_cap:
-        raise ValueError("radius exceeds truncation")
-    if n_trees < 1:
-        raise ValueError("n_trees must be positive")
-    samples = capacity_samples(rho, radius, n_trees, rng)
-    est = samples.functional(u)
-    diag = samples.functional(u, diagnostic=True) if samples.diagnostic_radius else None
-    return FunctionalEstimate(estimate=est, estimate_at_radius_minus_5=diag,
-                              radius=radius, n_trees=n_trees)

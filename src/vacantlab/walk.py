@@ -274,31 +274,22 @@ def estimate_hitting_tail(g: Graph, component: np.ndarray, x: int, ts, n_walks: 
 
 
 def ball(g: Graph, x: int, r: int) -> tuple[np.ndarray, bool]:
-    """Vertices within graph distance r of x (BFS), and whether the ball
-    already covers the whole component (empty boundary)."""
-    dist = {int(x): 0}
-    frontier = [int(x)]
-    depth = 0
-    has_boundary = False
-    while frontier and depth < r:
-        depth += 1
-        nxt = []
-        for v in frontier:
-            for w in g.neighbors(v).tolist():
-                if w not in dist:
-                    dist[w] = depth
-                    nxt.append(w)
-        frontier = nxt
-    # one more level decides whether the boundary is empty
-    for v in frontier:
-        for w in g.neighbors(v).tolist():
-            if w not in dist:
-                has_boundary = True
-                break
-        if has_boundary:
+    """Vertices within graph distance r of x, in increasing order, and
+    whether the ball already covers the whole component (empty boundary).
+    Breadth-first, one CSR gather per level; the level after r only
+    decides the boundary flag."""
+    seen = np.zeros(g.n, dtype=bool)
+    seen[x] = True
+    frontier = np.array([x], dtype=np.int64)
+    for depth in range(r + 1):
+        lo = g.indptr[frontier]
+        counts = g.indptr[frontier + 1] - lo
+        nbrs = g.indices[np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())]
+        frontier = np.unique(nbrs[~seen[nbrs]])
+        if depth == r or len(frontier) == 0:
             break
-    members = np.fromiter(dist.keys(), dtype=np.int64)
-    return members, not has_boundary
+        seen[frontier] = True
+    return np.flatnonzero(seen), len(frontier) == 0
 
 
 def escape_probability(g: Graph, component: np.ndarray, x: int, r: int, n_walks: int, rng) -> EscapeEstimate:

@@ -58,6 +58,14 @@ def star_graph(leaves: int) -> Graph:
     return build_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
+def visited_mask(state) -> np.ndarray:
+    """Visited vertices of an exploration state as a boolean mask: every
+    vertex not in its unvisited list."""
+    mask = np.ones(state.n, dtype=bool)
+    mask[state.unvisited_vertices()] = False
+    return mask
+
+
 def xi_fixed_point_oracle(rho: float, iters: int = 400) -> float:
     """Independent route to the survival probability: iterate
     x <- 1 - exp(-rho*x); the map is a contraction near the fixed point
@@ -107,6 +115,22 @@ def escape_probability_harmonic_oracle(tree, radius: int) -> float:
     return 1.0 - total / len(root_children)
 
 
+def bfs_distances_oracle(g: Graph, x: int, r: int) -> dict:
+    """Graph distance from x of every vertex within distance r, by a
+    queue-based breadth-first search."""
+    dist = {x: 0}
+    queue = deque([x])
+    while queue:
+        v = queue.popleft()
+        if dist[v] == r:
+            continue
+        for w in g.neighbors(v).tolist():
+            if w not in dist:
+                dist[w] = dist[v] + 1
+                queue.append(w)
+    return dist
+
+
 def escape_probability_ball_oracle(g: Graph, x: int, r: int) -> float:
     """Exact probability that a walk from x leaves the radius-r ball
     around x before returning to x: breadth-first search for the ball,
@@ -114,16 +138,7 @@ def escape_probability_ball_oracle(g: Graph, x: int, r: int) -> float:
     leaving the ball] on the ball minus x (h = 1 at x, 0 outside it);
     escape = 1 - mean of h over the neighbours of x."""
     adj = [g.neighbors(v).tolist() for v in range(g.n)]
-    dist = {x: 0}
-    queue = deque([x])
-    while queue:
-        v = queue.popleft()
-        if dist[v] == r:
-            continue
-        for w in adj[v]:
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                queue.append(w)
+    dist = bfs_distances_oracle(g, x, r)
     index = {v: i for i, v in enumerate(v for v in dist if v != x)}
     a = np.eye(len(index))
     b = np.zeros(len(index))

@@ -162,6 +162,19 @@ class TestErCheck:
         assert json.loads(a.stdout)
         assert a.stdout == b.stdout
 
+    @pytest.mark.parametrize("rho, u, message", [
+        ("0.8", "5", "u must be 0 when rho <= 1 (no giant component to scale the walk time)"),
+        ("0.8", "-1", "u must be nonnegative"),
+        ("2", "-1", "u must be nonnegative"),
+    ], ids=["subcritical-positive-u", "subcritical-negative-u", "negative-u"])
+    def test_unusable_u_exits_one(self, tmp_path, rho, u, message):
+        # below rho = 1 there is no giant to scale the walk time by, so only u = 0 has a meaning
+        res = run_cli(["er-check", "--n", "200", "--rho", rho, "--u", u, "--trials", "50",
+                       "--seed", "1"], tmp_path)
+        assert res.returncode == 1, res.stderr
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == [f"error: {message}"]
+
     def test_trial_floor_usage_error(self, tmp_path):
         res = run_cli(["er-check", "--n", "300", "--rho", "2", "--u", "0.3",
                        "--trials", "10", "--seed", "7"], tmp_path)
@@ -250,8 +263,10 @@ class TestOtherCommands:
          "n_vertices_probed must be positive"),
         (["hitting", "--n", "2000", "--rho", "2", "--u", "0.3", "--vertices", "-1"],
          "n_vertices_probed must be positive"),
+        (["solve", "--rho", "2", "--trees", "0"], "n_trees must be positive"),
+        (["capacity", "--rho", "2", "--u", "0.3", "--trees", "0"], "n_trees must be positive"),
     ], ids=["size-check-trials-0", "simulate-trials-0", "hitting-vertices-0",
-            "hitting-vertices-negative"])
+            "hitting-vertices-negative", "solve-trees-0", "capacity-trees-0"])
     def test_empty_request_exits_one(self, tmp_path, args, message):
         # a request for no trials or no probed vertices has no result to report
         res = run_cli(args + ["--seed", "1"], tmp_path)

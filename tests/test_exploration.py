@@ -1,9 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from conftest import fixed_graph_covering_walk
+from conftest import fixed_graph_covering_walk, visited_mask
 from vacantlab import critical, exploration, walk
 from vacantlab._gof import chisq_pvalue_two_sample
 from vacantlab.engine import derive_stream
@@ -22,7 +23,7 @@ def assert_states_equal(a, b):
     assert a.current == b.current
     assert a.jumps == b.jumps
     assert a.covered == b.covered
-    assert np.array_equal(a.visited, b.visited)
+    assert np.array_equal(visited_mask(a), visited_mask(b))
     assert a.explored_adjacency == b.explored_adjacency
 
 
@@ -42,14 +43,14 @@ class TestBasics:
             steps += 1
             assert steps <= 50
         assert state.jumps == state.step
-        assert state.visited.all()
+        assert visited_mask(state).all()
 
     def test_p_one_two_vertices(self):
         state = new_exploration(2, 2.0, derive_stream(1, 2))
         advance(state)
         assert state.covered
         assert state.jumps == 0
-        assert state.visited.all()
+        assert visited_mask(state).all()
         assert sorted(state.explored_adjacency[0]) == [1]
 
     def test_validation(self):
@@ -107,7 +108,7 @@ class TestInvariants:
             if state.covered:
                 break
             advance(state)
-            visited = state.visited
+            visited = visited_mask(state)
             frontier = set()
             for v in range(state.n):
                 for w in state.explored_adjacency[v]:
@@ -123,7 +124,7 @@ class TestInvariants:
         state = new_exploration(120, 2.0, derive_stream(4, 1))
         while not state.covered:
             advance(state)
-        assert state.visited.all()
+        assert visited_mask(state).all()
         assert state.unvisited_count == 0
 
     def test_jumps_before_giant_entry_geometric(self):
@@ -150,6 +151,28 @@ class TestInvariants:
                     break
             ok += jumps_before <= 20
         assert ok >= 98
+
+
+class TestExplorationGolden:
+    """Trajectory bytes are pinned: the state after ``run_to`` must not
+    change when the exploration's bookkeeping does."""
+
+    @pytest.mark.parametrize("n, rho, seed, t, digest", [
+        (1, 0.0, 1, 10, "03bdb7924d316193aeea63d2ec1c87c3ef98a8fcfcc672e2f0a8f706f29568fd"),
+        (6, 0.0, 2, 100, "f1805dfa2a78a250e75d4c801816a123cc0853742bce6fdc4490fbd0e11d7e72"),
+        (2, 2.0, 3, 5, "c65eef1e16e26f7dcf37076b83a0635bdc11157e6c1f453527dd4b4c2212642d"),
+        (400, 0.8, 4, 600, "a382ac673f69c06c4bf3f7dff322d8dd4897ef397ad8bb40d68527488582f25f"),
+        (500, 1.5, 5, 250, "e576ae93ab687531e3d2e468f1841d89726ea7e6c2de4041cf101d3aedebde71"),
+        (2000, 2.0, 6, 1500, "dd4aa89a77af4c31d05f6b0e11b0d41755dd1b398af546176a5d29a841e5e831"),
+        (60, 3.0, 7, 10_000, "7e837aed185b7d5d3d0f28db4420392cd0c48f7f9ccccbec66d7d63b624bdb88"),
+    ], ids=["n1", "rho0", "n2-p1", "subcritical", "rho1.5", "rho2", "covered"])
+    def test_state_unchanged(self, n, rho, seed, t, digest):
+        state = run_to(new_exploration(n, rho, derive_stream(seed, 0)), t)
+        h = hashlib.sha256()
+        h.update(repr((state.step, state.current, state.jumps, state.covered,
+                       state.frontier_count, state.explored_adjacency)).encode())
+        h.update(state.unvisited_vertices().tobytes())
+        assert h.hexdigest() == digest
 
 
 class TestAnnealedEquivalence:

@@ -15,7 +15,6 @@ from vacantlab.gw import (
     capacity_samples_direct,
     conductance_to_boundary,
     generation_sizes,
-    mc_capacity_functional,
     regular_tree_capacity,
     sample_gw,
     sample_gw_conditioned,
@@ -207,10 +206,11 @@ class TestConductance:
 
 class TestCapacityFunctional:
     def test_u_zero_exact_one(self):
-        est = mc_capacity_functional(0.0, 2.0, 50, 40, 1000, derive_stream(13, 0))
-        assert est.estimate.mean == 1.0
-        assert est.estimate.std_error == 0.0
-        assert est.estimate_at_radius_minus_5.mean == 1.0
+        caps = capacity_samples(2.0, 40, 1000, derive_stream(13, 0))
+        est = caps.functional(0.0)
+        assert est.mean == 1.0
+        assert est.std_error == 0.0
+        assert caps.functional(0.0, diagnostic=True).mean == 1.0
 
     def test_monotone_in_u(self):
         caps = capacity_samples(2.0, 40, 100_000, derive_stream(14, 0))
@@ -219,13 +219,14 @@ class TestCapacityFunctional:
         assert low.ci95_low > high.ci95_high
 
     def test_large_u_small_value(self):
-        est = mc_capacity_functional(100.0, 2.0, 50, 40, 10_000, derive_stream(15, 0))
-        assert est.estimate.mean < 0.05
+        est = capacity_samples(2.0, 40, 10_000, derive_stream(15, 0)).functional(100.0)
+        assert est.mean < 0.05
 
     def test_truncation_diagnostic_close(self):
-        est = mc_capacity_functional(0.3, 2.0, 50, 40, 100_000, derive_stream(16, 0))
-        diff = abs(est.estimate.mean - est.estimate_at_radius_minus_5.mean)
-        width = est.estimate.ci95_high - est.estimate.ci95_low
+        caps = capacity_samples(2.0, 40, 100_000, derive_stream(16, 0))
+        est = caps.functional(0.3)
+        diff = abs(est.mean - caps.functional(0.3, diagnostic=True).mean)
+        width = est.ci95_high - est.ci95_low
         assert diff <= 2 * width
 
     def test_pool_matches_per_tree_route(self):
@@ -242,14 +243,14 @@ class TestCapacityFunctional:
             assert abs(a.mean() - b.mean()) <= 4 * se
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError, match="radius exceeds truncation"):
-            mc_capacity_functional(0.1, 2.0, 40, 50, 100, derive_stream(1, 0))
-        with pytest.raises(ValueError):
-            mc_capacity_functional(-0.1, 2.0, 50, 40, 100, derive_stream(1, 0))
-        with pytest.raises(ValueError):
-            mc_capacity_functional(0.1, 0.9, 50, 40, 100, derive_stream(1, 0))
+        with pytest.raises(ValueError, match="supercritical rho required"):
+            capacity_samples(0.9, 40, 100, derive_stream(1, 0))
+        with pytest.raises(ValueError, match="n_samples must be positive"):
+            capacity_samples(2.0, 40, 0, derive_stream(1, 0))
         with pytest.raises(ValueError, match="u must be nonnegative"):
             capacity_samples(2.0, 8, 100, derive_stream(1, 0)).functional(-0.5)
+        with pytest.raises(ValueError, match="no diagnostic radius available"):
+            capacity_samples(2.0, 5, 100, derive_stream(1, 0)).functional(0.1, diagnostic=True)
 
 
 class TestCapacitySamplesGolden:

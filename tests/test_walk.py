@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    bfs_distances_oracle,
     build_graph,
     complete_graph,
     cycle_graph,
@@ -318,6 +319,41 @@ class TestEscapeGolden:
             assert not est.boundary_empty and 0.1 < p.mean < 0.5
             h.update(np.array([p.mean, p.std_error, p.ci95_low, p.ci95_high, p.n_samples]).tobytes())
         assert h.hexdigest() == "ad1fd960956b40c72596c82ab7852eb0999a013db5289a02093a47c5a5aac2a2"
+
+
+class TestBall:
+    @staticmethod
+    def _check(g, x, r):
+        members, covers = walk.ball(g, x, r)
+        dist = bfs_distances_oracle(g, x, r + 1)
+        assert members.tolist() == sorted(v for v, d in dist.items() if d <= r)
+        assert covers == (max(dist.values()) <= r)
+        return covers
+
+    def test_matches_reference_bfs(self):
+        g = sample_er(2000, 2.0, derive_stream(24, 0))
+        comp = giant_vertices(components(g))
+        for x in comp[:: len(comp) // 10].tolist():
+            for r in (1, 2, 5, 9):
+                assert not self._check(g, x, r)
+
+    def test_ball_covering_whole_component(self):
+        assert self._check(cycle_graph(8), 0, 4)
+        assert not self._check(cycle_graph(8), 0, 3)
+        g = sample_er(2000, 2.0, derive_stream(24, 0))
+        small = next(v for v in range(g.n) if 2 <= len(bfs_distances_oracle(g, v, g.n)) <= 6)
+        assert self._check(g, small, g.n)
+
+    def test_radius_one(self, path3):
+        assert self._check(path3, 1, 1)
+        assert not self._check(path3, 0, 1)
+        assert self._check(star_graph(4), 0, 1)
+        assert not self._check(star_graph(4), 2, 1)
+
+    def test_isolated_vertex(self):
+        g = build_graph(3, [(1, 2)])
+        assert walk.ball(g, 0, 1)[0].tolist() == [0]
+        assert self._check(g, 0, 1)
 
 
 class TestEscapeProbability:
