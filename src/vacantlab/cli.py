@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
 
 from . import __version__, critical, experiments, exploration, gw
 from .engine import RngStream, TrialError, derive_stream
-
-_JSON_KW = dict(indent=2, sort_keys=False, ensure_ascii=False)
 
 
 @dataclass
@@ -33,8 +32,11 @@ class RunManifest:
     outputs: list = field(default_factory=list)
 
 
-def _emit(obj, out_path: str | None) -> list[str]:
-    text = json.dumps(obj, **_JSON_KW) + "\n"
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=False, ensure_ascii=False) + "\n"
+
+
+def _emit(text: str, out_path: str | None) -> list[str]:
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -45,21 +47,20 @@ def _emit(obj, out_path: str | None) -> list[str]:
 
 def _write_manifest(command: str, args: argparse.Namespace, argv: list[str],
                     started: float, outputs: list[str]) -> None:
-    path = getattr(args, "manifest", None)
+    path = args.manifest
     if path is None:
-        base = getattr(args, "out", None)
-        path = f"{base}.manifest.json" if base else f"vacantlab-{command}-manifest.json"
+        path = f"{args.out}.manifest.json" if args.out else f"vacantlab-{command}-manifest.json"
     manifest = RunManifest(
         command=command,
         argv=argv,
         flags={k: v for k, v in sorted(vars(args).items()) if k not in ("func", "manifest")},
-        root_seed=getattr(args, "seed", None),
+        root_seed=args.seed,
         version=__version__,
         duration_s=round(time.time() - started, 3),
         outputs=outputs,
     )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(asdict(manifest), **_JSON_KW) + "\n")
+        fh.write(_json(asdict(manifest)))
 
 
 def _capacity_stream(args) -> RngStream:
@@ -96,7 +97,7 @@ def _cmd_solve(args) -> list[str]:
         out["functional"] = asdict(est)
         supercritical = critical.vacant_mean_degree(args.rho, xi, est.mean) > 1.0
         out["zeta"] = critical.solve_zeta(args.u, args.rho, est.mean, args.tol) if supercritical else 0.0
-    return _emit(out, getattr(args, "out", None))
+    return _emit(_json(out), args.out)
 
 
 def _parse_u_grid(args) -> list[float]:
@@ -111,23 +112,22 @@ def _parse_u_grid(args) -> list[float]:
 
 
 def _cmd_simulate(args) -> list[str]:
-    root = derive_stream(args.seed, 0)
     grid = _parse_u_grid(args)
-    records = experiments.sweep_vacant_structure(
-        args.n, args.rho, grid, args.trials, root,
-        n_trees=args.trees, radius=args.radius)
-    outputs = []
+    # the sweep's checks, made before its tree samples are drawn
+    if grid[0] < 0:
+        raise ValueError("u_grid must be nonnegative and ascending")
+    if args.trials < 1:
+        raise ValueError("n_trials must be positive")
+    if args.trees < 1:
+        raise ValueError("n_trees must be positive")
+    if args.rho > args.n:
+        raise ValueError("edge probability exceeds 1")
+    root = derive_stream(args.seed, 0)
+    caps = gw.capacity_samples(args.rho, args.radius, args.trees, root.substream(901))
+    records = experiments.sweep_vacant_structure(args.n, args.rho, grid, args.trials, root, caps=caps)
     if args.format == "csv":
-        text = experiments.sweep_records_to_csv(records)
-    else:
-        text = json.dumps([asdict(r) for r in records], **_JSON_KW) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        outputs.append(args.out)
-    else:
-        sys.stdout.write(text)
-    return outputs
+        return _emit(experiments.sweep_records_to_csv(records), args.out)
+    return _emit(_json([asdict(r) for r in records]), args.out)
 
 
 def _cmd_er_check(args) -> list[str]:
@@ -142,7 +142,7 @@ def _cmd_er_check(args) -> list[str]:
     }
     if report.edge_test_skipped:
         out["note"] = report.note
-    return _emit(out, getattr(args, "out", None))
+    return _emit(_json(out), args.out)
 
 
 def _cmd_capacity(args) -> list[str]:
@@ -156,7 +156,7 @@ def _cmd_capacity(args) -> list[str]:
         "radius": args.radius,
         "trees": args.trees,
     }
-    return _emit(out, getattr(args, "out", None))
+    return _emit(_json(out), args.out)
 
 
 def _cmd_hitting(args) -> list[str]:
@@ -164,13 +164,25 @@ def _cmd_hitting(args) -> list[str]:
     report = experiments.hitting_and_vacancy_report(
         args.n, args.rho, args.u, args.vertices, root,
         n_walks=args.walks, radius=args.radius)
-    return _emit(asdict(report), args.out)
+    return _emit(_json(asdict(report)), args.out)
 
 
 def _cmd_size_check(args) -> list[str]:
     root = derive_stream(args.seed, 0)
     report = experiments.size_relation_check(args.n, args.rho, args.u, args.trials, root)
-    return _emit(asdict(report), getattr(args, "out", None))
+    return _emit(_json(asdict(report)), args.out)
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: anything but a finite number,
+    nan and inf included, is a usage error."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -187,11 +199,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve", help="critical quantities: xi, u_star, zeta, functional")
-    p.add_argument("--rho", type=float, required=True, help="mean degree (> 1)")
-    p.add_argument("--u", type=float, default=None, help="intensity at which to report zeta/functional")
-    p.add_argument("--tol", type=float, default=1e-10, help="solver tolerance (default 1e-10)")
+    p.add_argument("--rho", type=_finite_float, required=True, help="mean degree (> 1)")
+    p.add_argument("--u", type=_finite_float, default=None, help="intensity at which to report zeta/functional")
+    p.add_argument("--tol", type=_finite_float, default=1e-10, help="solver tolerance (default 1e-10)")
     p.add_argument("--trees", type=int, default=100_000, help="capacity samples (default 1e5)")
-    p.add_argument("--depth", type=int, default=50, help="tree truncation depth (default 50)")
+    p.add_argument("--depth", type=int, default=50,
+                   help="upper bound on --radius, which must stay below it; "
+                        "not a tree truncation depth (default 50)")
     p.add_argument("--radius", type=int, default=40, help="capacity radius (default 40)")
     p.add_argument("--out", type=str, default=None, help="write JSON here instead of stdout")
     _add_common(p)
@@ -199,10 +213,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="vacant-structure sweep records")
     p.add_argument("--n", type=int, required=True, help="vertex count (>= 100)")
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--u", type=float, default=None)
-    p.add_argument("--u-min", dest="u_min", type=float, default=None)
-    p.add_argument("--u-max", dest="u_max", type=float, default=None)
+    p.add_argument("--rho", type=_finite_float, required=True)
+    p.add_argument("--u", type=_finite_float, default=None)
+    p.add_argument("--u-min", dest="u_min", type=_finite_float, default=None)
+    p.add_argument("--u-max", dest="u_max", type=_finite_float, default=None)
     p.add_argument("--u-steps", dest="u_steps", type=int, default=None)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--trees", type=int, default=100_000)
@@ -214,18 +228,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("er-check", help="spatial Markov property law check")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--u", type=float, required=True)
+    p.add_argument("--rho", type=_finite_float, required=True)
+    p.add_argument("--u", type=_finite_float, required=True)
     p.add_argument("--trials", type=int, required=True, help=">= 50")
     p.add_argument("--out", type=str, default=None)
     _add_common(p)
     p.set_defaults(func=_cmd_er_check)
 
     p = sub.add_parser("capacity", help="capacity functional estimate")
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--u", type=float, required=True)
+    p.add_argument("--rho", type=_finite_float, required=True)
+    p.add_argument("--u", type=_finite_float, required=True)
     p.add_argument("--trees", type=int, default=100_000)
-    p.add_argument("--depth", type=int, default=50)
+    p.add_argument("--depth", type=int, default=50, help="upper bound on --radius (default 50)")
     p.add_argument("--radius", type=int, default=40)
     p.add_argument("--out", type=str, default=None)
     _add_common(p)
@@ -233,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hitting", help="per-vertex vacancy and hitting-tail diagnostics")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--u", type=float, required=True)
+    p.add_argument("--rho", type=_finite_float, required=True)
+    p.add_argument("--u", type=_finite_float, required=True)
     p.add_argument("--vertices", type=int, default=20)
     p.add_argument("--walks", type=int, default=2000)
     p.add_argument("--radius", type=int, default=None, help="ball radius (default: measured-bias formula)")
@@ -244,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("size-check", help="exploration vs walk vacant-size relation")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--u", type=float, required=True)
+    p.add_argument("--rho", type=_finite_float, required=True)
+    p.add_argument("--u", type=_finite_float, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--out", type=str, default=None)
     _add_common(p)
@@ -268,7 +282,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         outputs = args.func(args)
         _write_manifest(args.command, args, argv, started, outputs)
-    except (ValueError, OSError, TrialError, gw.NodeBudgetExceeded) as exc:
+    except (ValueError, OSError, TrialError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

@@ -138,7 +138,7 @@ def ks_uniform_pvalue(samples) -> float:
     return float(kolmogorov(math.sqrt(n) * d))
 
 
-def worker_count(n_trials: int, max_workers: int | None = None) -> int:
+def worker_count(n_trials: int) -> int:
     """Effective worker count: capped by VACANTLAB_THREADS when set,
     otherwise all available cores."""
     env = os.environ.get(THREADS_ENV_VAR)
@@ -147,8 +147,6 @@ def worker_count(n_trials: int, max_workers: int | None = None) -> int:
         cap = int(env) if env.strip().isdecimal() else 0
         if cap < 1:
             raise ValueError(f"{THREADS_ENV_VAR} must be a positive integer, got {env!r}")
-    if max_workers is not None:
-        cap = min(cap, max_workers)
     return max(1, min(cap, n_trials))
 
 
@@ -166,7 +164,7 @@ def _run_one(job):
         return ("err", idx, exc)
 
 
-def run_trials(config, n_trials: int, trial_fn, *, root: RngStream, max_workers: int | None = None) -> list:
+def run_trials(config, n_trials: int, trial_fn, *, root: RngStream) -> list:
     """Run ``trial_fn(config, stream)`` for trials 0..n_trials-1.
 
     The output list is ordered by trial index and is identical for any
@@ -179,7 +177,7 @@ def run_trials(config, n_trials: int, trial_fn, *, root: RngStream, max_workers:
     if n_trials == 0:
         return []
     jobs = [(trial_fn, config, trial_stream(root, i), i) for i in range(n_trials)]
-    workers = worker_count(n_trials, max_workers)
+    workers = worker_count(n_trials)
     parallel = workers > 1
     if parallel:
         try:

@@ -20,8 +20,6 @@ from . import critical, exploration, gw, walk
 from .engine import RngStream, as_generator, run_trials
 from .random_graph import components, giant_vertices, sample_er
 
-DEFAULT_N_TREES = 100_000
-DEFAULT_RADIUS = gw.DEFAULT_RADIUS
 
 @dataclass(frozen=True)
 class SweepRecord:
@@ -58,20 +56,6 @@ def sweep_records_to_csv(records: list[SweepRecord]) -> str:
     return buf.getvalue()
 
 
-def sweep_records_from_csv(text: str) -> list[SweepRecord]:
-    rows = list(csv.reader(io.StringIO(text)))
-    if rows[0] != SWEEP_COLUMNS:
-        raise ValueError("unexpected sweep CSV header")
-    types = {f.name: f.type for f in fields(SweepRecord)}
-    out = []
-    for row in rows[1:]:
-        kwargs = {}
-        for col, val in zip(SWEEP_COLUMNS, row):
-            kwargs[col] = float(val) if types[col] == "float" else int(val)
-        out.append(SweepRecord(**kwargs))
-    return out
-
-
 @dataclass(frozen=True)
 class _SweepTrialConfig:
     n: int
@@ -97,12 +81,10 @@ def _sweep_trial(cfg: _SweepTrialConfig, stream: RngStream) -> tuple:
 
 
 def sweep_vacant_structure(n: int, rho: float, u_grid, n_trials: int, root: RngStream,
-                           *, n_trees: int = DEFAULT_N_TREES, radius: int = DEFAULT_RADIUS,
-                           caps: gw.CapacitySamples | None = None,
-                           max_workers: int | None = None) -> list[SweepRecord]:
+                           *, caps: gw.CapacitySamples) -> list[SweepRecord]:
     """Per (u, trial): sample a graph, walk its giant component to the
     intensity's time, and record the vacant component structure next to
-    the tree-model predictions (functional evaluated once on a shared
+    the tree-model predictions (functional evaluated on the one given
     capacity sample set, so every u sees common random numbers)."""
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
@@ -110,11 +92,9 @@ def sweep_vacant_structure(n: int, rho: float, u_grid, n_trials: int, root: RngS
     if any(u < 0 for u in u_grid) or sorted(u_grid) != u_grid:
         raise ValueError("u_grid must be nonnegative and ascending")
     xi = critical.solve_xi(rho)
-    if caps is None:
-        caps = gw.capacity_samples(rho, radius, n_trees, root.substream(901))
     t_by_u = tuple(walk.walk_time(u, rho, xi, n) for u in u_grid)
     cfg = _SweepTrialConfig(n=n, rho=rho, t_by_u=t_by_u)
-    per_trial = run_trials(cfg, n_trials, _sweep_trial, root=root, max_workers=max_workers)
+    per_trial = run_trials(cfg, n_trials, _sweep_trial, root=root)
     records = []
     for ui, (u, t) in enumerate(zip(u_grid, t_by_u)):
         f_u = caps.functional(u).mean
@@ -162,8 +142,8 @@ def _size_trial(cfg: _SizeTrialConfig, stream: RngStream) -> int:
     return vac.size
 
 
-def size_relation_check(n: int, rho: float, u: float, n_trials: int, root: RngStream,
-                        *, max_workers: int | None = None) -> SizeRelationReport:
+def size_relation_check(n: int, rho: float, u: float, n_trials: int,
+                        root: RngStream) -> SizeRelationReport:
     """Independent exploration and walk runs at the same intensity; their
     mean vacant sizes should differ by the mass of the non-giant
     components, (1-xi)*n."""
@@ -173,8 +153,8 @@ def size_relation_check(n: int, rho: float, u: float, n_trials: int, root: RngSt
     t = walk.walk_time(u, rho, xi, n)
     cfg_e = _SizeTrialConfig(n=n, rho=rho, t=t + exploration.default_burn_in(n), mode="explore")
     cfg_w = _SizeTrialConfig(n=n, rho=rho, t=t, mode="walk")
-    vbars = run_trials(cfg_e, n_trials, _size_trial, root=root.substream(1), max_workers=max_workers)
-    vs = run_trials(cfg_w, n_trials, _size_trial, root=root.substream(2), max_workers=max_workers)
+    vbars = run_trials(cfg_e, n_trials, _size_trial, root=root.substream(1))
+    vs = run_trials(cfg_w, n_trials, _size_trial, root=root.substream(2))
     mean_vbar = float(np.mean(vbars))
     mean_v = float(np.mean(vs))
     return SizeRelationReport(mean_vbar=mean_vbar, mean_v=mean_v,
@@ -254,33 +234,30 @@ def hitting_and_vacancy_report(n: int, rho: float, u: float, n_vertices_probed: 
 
 
 def exploration_mean_degree_at(n: int, rho: float, u: float, n_trials: int,
-                               root: RngStream, *, max_workers: int | None = None) -> float:
+                               root: RngStream) -> float:
     """Mean vacant-graph degree |unvisited| * rho / n after exploring to
     the intensity's time plus burn-in."""
     xi = critical.solve_xi(rho)
     t = walk.walk_time(u, rho, xi, n) + exploration.default_burn_in(n)
     cfg = _SizeTrialConfig(n=n, rho=rho, t=t, mode="explore")
-    sizes = run_trials(cfg, n_trials, _size_trial, root=root, max_workers=max_workers)
+    sizes = run_trials(cfg, n_trials, _size_trial, root=root)
     return float(np.mean(sizes)) * rho / n
 
 
 def empirical_u_star_crossing(n: int, rho: float, n_trials: int, root: RngStream,
-                              *, tol_u: float = 0.01, u_hi: float = 4.0,
-                              max_workers: int | None = None) -> float:
+                              *, tol_u: float = 0.01, u_hi: float = 4.0) -> float:
     """Intensity at which the exploration's mean vacant degree crosses 1,
     located by bisection with per-point independent trials (the second,
     simulation-only route to the critical intensity)."""
     lo, hi = 0.0, u_hi
     point = 0
-    dlo = exploration_mean_degree_at(n, rho, 0.0, n_trials, root.substream(10, point),
-                                     max_workers=max_workers)
+    dlo = exploration_mean_degree_at(n, rho, 0.0, n_trials, root.substream(10, point))
     if dlo <= 1.0:
         raise ValueError("vacant degree already below 1 at u=0")
     while hi - lo > tol_u:
         point += 1
         mid = 0.5 * (lo + hi)
-        d = exploration_mean_degree_at(n, rho, mid, n_trials, root.substream(10, point),
-                                       max_workers=max_workers)
+        d = exploration_mean_degree_at(n, rho, mid, n_trials, root.substream(10, point))
         if d > 1.0:
             lo = mid
         else:

@@ -28,22 +28,26 @@ from ._gof import chisq_pvalue_counts_vs_probs
 from .engine import RngStream, as_generator, ks_uniform_pvalue, run_trials
 from .random_graph import Graph, sample_er
 
+# _Uniforms draws blocks of 16, 32, ... uniforms up to _BLOCK, so a short
+# exploration does not pay for thousands of draws it never uses.
 _BLOCK = 1 << 13
 
 
 class _Uniforms:
     """Buffered scalar uniforms from a numpy generator."""
 
-    __slots__ = ("_gen", "_buf", "_pos")
+    __slots__ = ("_gen", "_buf", "_pos", "_size")
 
     def __init__(self, gen: np.random.Generator):
         self._gen = gen
         self._buf: list[float] = []
         self._pos = 0
+        self._size = 16
 
     def next(self) -> float:
         if self._pos == len(self._buf):
-            self._buf = self._gen.random(_BLOCK).tolist()
+            self._buf = self._gen.random(self._size).tolist()
+            self._size = min(2 * self._size, _BLOCK)
             self._pos = 0
         v = self._buf[self._pos]
         self._pos += 1

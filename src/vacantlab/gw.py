@@ -29,7 +29,6 @@ from . import critical
 from .engine import EstimateCI, aggregate, as_generator
 
 DEFAULT_NODE_BUDGET = 10_000_000
-DEFAULT_RADIUS = 40
 # The coupled diagnostic radius of capacity_samples is radius - DIAGNOSTIC_OFFSET.
 DIAGNOSTIC_OFFSET = 5
 
@@ -182,21 +181,18 @@ def sample_gw_rejection(rho: float, depth_cap: int, rng, node_budget: int = DEFA
         if reached < depth_cap:
             continue
         z = int(tree.generation_sizes()[depth_cap])
-        for _ in range(target - depth_cap):
-            if z == 0:
-                break
-            z = int(gen.poisson(rho * z))
-        if z > 0:
+        if generation_sizes(rho, target - depth_cap, gen, start=z)[-1] > 0:
             return tree
 
 
-def generation_sizes(rho: float, depth: int, rng) -> np.ndarray:
-    """Generation sizes Z_0..Z_depth of a Poisson(rho) tree without
-    materializing it, using Poisson additivity: Z_{d+1} ~ Poisson(rho*Z_d)."""
+def generation_sizes(rho: float, depth: int, rng, start: int = 1) -> np.ndarray:
+    """Generation sizes Z_0..Z_depth of a Poisson(rho) forest of ``start``
+    roots without materializing it, using Poisson additivity:
+    Z_{d+1} ~ Poisson(rho*Z_d)."""
     gen = as_generator(rng)
     out = np.zeros(depth + 1, dtype=np.int64)
-    z = 1
-    out[0] = 1
+    z = start
+    out[0] = start
     for d in range(1, depth + 1):
         if z == 0:
             break

@@ -259,19 +259,44 @@ class TestOtherCommands:
          "n_trials must be positive"),
         (["simulate", "--n", "200", "--rho", "2", "--u", "0.3", "--trials", "0"],
          "n_trials must be positive"),
+        (["simulate", "--n", "200", "--rho", "2", "--u", "0.3", "--trials", "1", "--trees", "0"],
+         "n_trees must be positive"),
         (["hitting", "--n", "2000", "--rho", "2", "--u", "0.3", "--vertices", "0"],
          "n_vertices_probed must be positive"),
         (["hitting", "--n", "2000", "--rho", "2", "--u", "0.3", "--vertices", "-1"],
          "n_vertices_probed must be positive"),
         (["solve", "--rho", "2", "--trees", "0"], "n_trees must be positive"),
         (["capacity", "--rho", "2", "--u", "0.3", "--trees", "0"], "n_trees must be positive"),
-    ], ids=["size-check-trials-0", "simulate-trials-0", "hitting-vertices-0",
+    ], ids=["size-check-trials-0", "simulate-trials-0", "simulate-trees-0", "hitting-vertices-0",
             "hitting-vertices-negative", "solve-trees-0", "capacity-trees-0"])
     def test_empty_request_exits_one(self, tmp_path, args, message):
         # a request for no trials or no probed vertices has no result to report
         res = run_cli(args + ["--seed", "1"], tmp_path)
         assert res.returncode == 1, res.stderr
         assert res.stderr.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("args", [
+        ["solve", "--rho", "2", "--u", "nan", "--trees", "100"],
+        ["solve", "--rho", "nan", "--trees", "100"],
+        ["capacity", "--rho", "2", "--u", "nan", "--trees", "100"],
+        ["size-check", "--n", "2000", "--rho", "2", "--u", "inf", "--trials", "1"],
+        ["hitting", "--n", "2000", "--rho", "2", "--u", "inf", "--vertices", "1"],
+        ["er-check", "--n", "200", "--rho", "2", "--u", "nan", "--trials", "50"],
+        ["simulate", "--n", "200", "--rho", "2", "--u-min", "0", "--u-max", "inf",
+         "--u-steps", "2", "--trials", "1"],
+    ], ids=["solve-u-nan", "solve-rho-nan", "capacity-u-nan", "size-check-u-inf",
+            "hitting-u-inf", "er-check-u-nan", "simulate-u-max-inf"])
+    def test_non_finite_number_is_usage_error(self, tmp_path, args):
+        res = run_cli(args + ["--seed", "1"], tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "usage: vacantlab" in res.stderr
+        assert "not a finite number" in res.stderr
+
+    def test_rho_above_n_names_edge_probability(self, tmp_path):
+        res = run_cli(["simulate", "--n", "200", "--rho", "1e9", "--u", "0.3", "--trials", "1",
+                       "--seed", "1"], tmp_path)
+        assert res.returncode == 1, res.stderr
+        assert res.stderr.splitlines() == ["error: edge probability exceeds 1"]
 
     def test_unknown_command_exits_two(self, tmp_path):
         res = run_cli(["frobnicate"], tmp_path)

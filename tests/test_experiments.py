@@ -3,14 +3,13 @@ import hashlib
 import numpy as np
 import pytest
 
-from vacantlab import critical, experiments, gw, walk
+from vacantlab import critical, engine, experiments, gw, walk
 from vacantlab.engine import derive_stream
 from vacantlab.experiments import (
     SWEEP_COLUMNS,
     SweepRecord,
     hitting_and_vacancy_report,
     size_relation_check,
-    sweep_records_from_csv,
     sweep_records_to_csv,
     sweep_vacant_structure,
 )
@@ -22,10 +21,15 @@ def small_caps():
     return gw.capacity_samples(2.0, 40, 30_000, derive_stream(40, 0))
 
 
+@pytest.fixture
+def serial(monkeypatch):
+    """Run trials in this process: the test checks values, not parallelism."""
+    monkeypatch.setenv(engine.THREADS_ENV_VAR, "1")
+
+
 class TestSweep:
-    def test_u_zero_removes_exactly_one_vertex(self, small_caps):
-        recs = sweep_vacant_structure(400, 2.0, [0.0], 6, derive_stream(41, 0),
-                                      caps=small_caps, max_workers=1)
+    def test_u_zero_removes_exactly_one_vertex(self, small_caps, serial):
+        recs = sweep_vacant_structure(400, 2.0, [0.0], 6, derive_stream(41, 0), caps=small_caps)
         for r in recs:
             assert r.vacant_size == r.giant_size - 1
             # the removed start may be a cut vertex, splitting off a small piece
@@ -34,10 +38,9 @@ class TestSweep:
             assert r.zeta_predicted == pytest.approx(critical.solve_xi(2.0), abs=1e-9)
             assert r.vacant_fraction_predicted == pytest.approx(critical.solve_xi(2.0), abs=1e-9)
 
-    def test_vacant_size_monotone_along_grid(self, small_caps):
+    def test_vacant_size_monotone_along_grid(self, small_caps, serial):
         grid = [0.0, 0.2, 0.5, 1.0, 1.6]
-        recs = sweep_vacant_structure(600, 2.0, grid, 4, derive_stream(41, 1),
-                                      caps=small_caps, max_workers=1)
+        recs = sweep_vacant_structure(600, 2.0, grid, 4, derive_stream(41, 1), caps=small_caps)
         by_trial = {}
         for r in recs:
             by_trial.setdefault(r.trial, []).append((r.u, r.vacant_size))
@@ -45,17 +48,12 @@ class TestSweep:
             sizes = [s for _, s in sorted(rows)]
             assert all(a >= b for a, b in zip(sizes, sizes[1:]))
 
-    def test_records_validate_and_round_trip(self, small_caps):
-        recs = sweep_vacant_structure(300, 2.0, [0.1, 0.4], 3, derive_stream(41, 2),
-                                      caps=small_caps, max_workers=1)
+    def test_records_validate_and_csv_header(self, small_caps, serial):
+        recs = sweep_vacant_structure(300, 2.0, [0.1, 0.4], 3, derive_stream(41, 2), caps=small_caps)
         text = sweep_records_to_csv(recs)
         assert text.splitlines()[0] == ",".join(SWEEP_COLUMNS)
-        back = sweep_records_from_csv(text)
-        assert back == recs
 
     def test_deterministic_and_worker_invariant(self, small_caps, monkeypatch):
-        from vacantlab import engine
-
         args = dict(n=300, rho=2.0, u_grid=[0.3], n_trials=4)
         monkeypatch.setenv(engine.THREADS_ENV_VAR, "1")
         a = sweep_vacant_structure(root=derive_stream(41, 3), caps=small_caps, **args)
@@ -74,24 +72,25 @@ class TestSweep:
                         giant_size=8, vacant_size=9, c1_vacant=3, c2_vacant=1,
                         zeta_predicted=0.5, vacant_fraction_predicted=0.5).validate()
 
-    def test_csv_bytes_pinned(self):
+    def test_csv_bytes_pinned(self, serial):
         # sha256 of the sweep CSV, computed before the vacant-component
         # kernel moved to a masked edge list: replay bytes must not move
-        recs = sweep_vacant_structure(3000, 2.0, [0.0, 0.3, 0.6, 0.9, 1.2, 1.5], 2,
-                                      derive_stream(47, 0), n_trees=2000, max_workers=1)
+        root = derive_stream(47, 0)
+        caps = gw.capacity_samples(2.0, 40, 2000, root.substream(901))
+        recs = sweep_vacant_structure(3000, 2.0, [0.0, 0.3, 0.6, 0.9, 1.2, 1.5], 2, root, caps=caps)
         digest = hashlib.sha256(sweep_records_to_csv(recs).encode()).hexdigest()
         assert digest == "dc999d85ec2230f8efed152fed9e9f7f529834d8299947043eb86a319cfbc170"
 
 
 class TestSizeRelation:
-    def test_direction_at_u_zero(self):
-        rep = size_relation_check(2000, 2.0, 0.0, 3, derive_stream(42, 0), max_workers=1)
+    def test_direction_at_u_zero(self, serial):
+        rep = size_relation_check(2000, 2.0, 0.0, 3, derive_stream(42, 0))
         assert rep.mean_vbar > rep.mean_v
         assert rep.predicted_gap == pytest.approx((1 - critical.solve_xi(2.0)) * 2000)
 
-    def test_gap_tracks_prediction_at_moderate_scale(self):
+    def test_gap_tracks_prediction_at_moderate_scale(self, serial):
         n = 20_000
-        rep = size_relation_check(n, 2.0, 0.3, 5, derive_stream(42, 1), max_workers=1)
+        rep = size_relation_check(n, 2.0, 0.3, 5, derive_stream(42, 1))
         assert abs(rep.gap - rep.predicted_gap) <= 0.03 * n
 
 
@@ -144,14 +143,13 @@ class TestHittingVacancy:
 
 
 class TestCrossingRoute:
-    def test_mean_degree_decreases_in_u(self):
+    def test_mean_degree_decreases_in_u(self, serial):
         root = derive_stream(45, 0)
-        d_low = experiments.exploration_mean_degree_at(3000, 2.0, 0.2, 3, root.substream(0), max_workers=1)
-        d_high = experiments.exploration_mean_degree_at(3000, 2.0, 1.2, 3, root.substream(1), max_workers=1)
+        d_low = experiments.exploration_mean_degree_at(3000, 2.0, 0.2, 3, root.substream(0))
+        d_high = experiments.exploration_mean_degree_at(3000, 2.0, 1.2, 3, root.substream(1))
         assert d_low > d_high
 
-    def test_crossing_brackets_u_star(self, small_caps):
-        u_cross = experiments.empirical_u_star_crossing(
-            10_000, 2.0, 3, derive_stream(45, 1), tol_u=0.05, max_workers=1)
+    def test_crossing_brackets_u_star(self, small_caps, serial):
+        u_cross = experiments.empirical_u_star_crossing(10_000, 2.0, 3, derive_stream(45, 1), tol_u=0.05)
         res = critical.solve_u_star(2.0, small_caps.functional)
         assert abs(u_cross - res.u_star) <= 0.15
