@@ -204,8 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_finite_float, default=1e-10, help="solver tolerance (default 1e-10)")
     p.add_argument("--trees", type=int, default=100_000, help="capacity samples (default 1e5)")
     p.add_argument("--depth", type=int, default=50,
-                   help="upper bound on --radius, which must stay below it; "
-                        "not a tree truncation depth (default 50)")
+                   help="only an upper bound on --radius; no tree is built to it (default 50)")
     p.add_argument("--radius", type=int, default=40, help="capacity radius (default 40)")
     p.add_argument("--out", type=str, default=None, help="write JSON here instead of stdout")
     _add_common(p)
@@ -239,7 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho", type=_finite_float, required=True)
     p.add_argument("--u", type=_finite_float, required=True)
     p.add_argument("--trees", type=int, default=100_000)
-    p.add_argument("--depth", type=int, default=50, help="upper bound on --radius (default 50)")
+    p.add_argument("--depth", type=int, default=50,
+                   help="only an upper bound on --radius; no tree is built to it (default 50)")
     p.add_argument("--radius", type=int, default=40)
     p.add_argument("--out", type=str, default=None)
     _add_common(p)
