@@ -95,16 +95,13 @@ def _cmd_solve(args) -> list[str]:
     if args.u is not None:
         est = caps.functional(args.u)
         out["functional"] = asdict(est)
-        supercritical = critical.vacant_mean_degree(args.rho, xi, est.mean) > 1.0
-        out["zeta"] = critical.solve_zeta(args.u, args.rho, est.mean, args.tol) if supercritical else 0.0
+        out["zeta"] = critical.solve_zeta(args.u, args.rho, est.mean, args.tol)
     return _emit(_json(out), args.out)
 
 
 def _parse_u_grid(args) -> list[float]:
     if args.u is not None:
         return [args.u]
-    if args.u_min is None or args.u_max is None or args.u_steps is None:
-        raise ValueError("need --u or all of --u-min/--u-max/--u-steps")
     if args.u_steps < 2 or args.u_max < args.u_min:
         raise ValueError("invalid u grid")
     step = (args.u_max - args.u_min) / (args.u_steps - 1)
@@ -140,7 +137,7 @@ def _cmd_er_check(args) -> list[str]:
         "mean_vacant_fraction": report.mean_vacant_fraction,
         "n_trials": report.n_trials,
     }
-    if report.edge_test_skipped:
+    if report.note:
         out["note"] = report.note
     return _emit(_json(out), args.out)
 
@@ -276,8 +273,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--n must be at least 100")
     if args.command == "er-check" and args.trials < 50:
         parser.error("--trials must be at least 50")
-    if args.command == "simulate" and args.u is None and args.u_min is None:
-        parser.error("need --u or --u-min/--u-max/--u-steps")
+    if args.command == "simulate" and args.u is None and None in (args.u_min, args.u_max, args.u_steps):
+        parser.error("need --u or all of --u-min/--u-max/--u-steps")
     started = time.time()
     try:
         outputs = args.func(args)

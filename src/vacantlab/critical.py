@@ -111,15 +111,11 @@ def solve_u_star(rho: float, functional, tol_u: float = 1e-6) -> UStarResult:
 
 
 def solve_zeta(u: float, rho: float, functional_value: float, tol: float = DEFAULT_TOL) -> float:
-    """Giant-cluster equation of the vacant graph: the unique solution in
+    """Predicted giant fraction of the vacant graph: the unique solution in
     (0,1) of exp(-zeta*mu) = 1 - zeta, the survival equation ``solve_xi``
-    solves, at mean mu = rho*xi*functional_value + rho*(1-xi).
-
-    Requires mu > 1 (supercritical vacant graph, u below the critical
-    intensity); callers should report 0 in the subcritical regime.
+    solves, at mean mu = rho*xi*functional_value + rho*(1-xi), while mu > 1
+    (u below the critical intensity); 0.0 when mu <= 1.
     """
     xi = solve_xi(rho, tol)
     mu = vacant_mean_degree(rho, xi, functional_value)
-    if mu <= 1.0:
-        raise ValueError("subcritical: zeta = 0 regime")
-    return solve_xi(mu, tol)
+    return solve_xi(mu, tol) if mu > 1.0 else 0.0

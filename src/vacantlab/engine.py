@@ -170,12 +170,11 @@ def run_trials(config, n_trials: int, trial_fn, *, root: RngStream) -> list:
     The output list is ordered by trial index and is identical for any
     degree of parallelism: trial i always receives the stream
     (entropy64(root), i) regardless of scheduling. On failure the error of
-    the smallest failing trial index is raised as TrialError.
+    the smallest failing trial index is raised as TrialError. Raises
+    ValueError for n_trials < 1: an empty request has no result to report.
     """
-    if n_trials < 0:
-        raise ValueError("n_trials must be nonnegative")
-    if n_trials == 0:
-        return []
+    if n_trials < 1:
+        raise ValueError("n_trials must be positive")
     jobs = [(trial_fn, config, trial_stream(root, i), i) for i in range(n_trials)]
     workers = worker_count(n_trials)
     parallel = workers > 1

@@ -86,8 +86,6 @@ def sweep_vacant_structure(n: int, rho: float, u_grid, n_trials: int, root: RngS
     intensity's time, and record the vacant component structure next to
     the tree-model predictions (functional evaluated on the one given
     capacity sample set, so every u sees common random numbers)."""
-    if n_trials < 1:
-        raise ValueError("n_trials must be positive")
     u_grid = [float(u) for u in u_grid]
     if any(u < 0 for u in u_grid) or sorted(u_grid) != u_grid:
         raise ValueError("u_grid must be nonnegative and ascending")
@@ -98,8 +96,7 @@ def sweep_vacant_structure(n: int, rho: float, u_grid, n_trials: int, root: RngS
     records = []
     for ui, (u, t) in enumerate(zip(u_grid, t_by_u)):
         f_u = caps.functional(u).mean
-        supercritical = critical.vacant_mean_degree(rho, xi, f_u) > 1.0
-        zeta = critical.solve_zeta(u, rho, f_u) if supercritical else 0.0
+        zeta = critical.solve_zeta(u, rho, f_u)
         for trial, (seed, giant_size, rows) in enumerate(per_trial):
             vac_size, c1, c2 = rows[ui]
             rec = SweepRecord(n=n, rho=rho, u=u, trial=trial, seed=seed, t_steps=t,
@@ -147,8 +144,6 @@ def size_relation_check(n: int, rho: float, u: float, n_trials: int,
     """Independent exploration and walk runs at the same intensity; their
     mean vacant sizes should differ by the mass of the non-giant
     components, (1-xi)*n."""
-    if n_trials < 1:
-        raise ValueError("n_trials must be positive")
     xi = critical.solve_xi(rho)
     t = walk.walk_time(u, rho, xi, n)
     cfg_e = _SizeTrialConfig(n=n, rho=rho, t=t + exploration.default_burn_in(n), mode="explore")

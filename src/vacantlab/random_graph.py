@@ -99,25 +99,17 @@ class TypicalityReport:
 def _pair_from_index(k: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Decode lexicographic pair indices k in [0, n(n-1)/2) to (i, j), i<j.
 
-    Row i starts at offset S(i) = i*(2n-i-1)/2; invert with an integer
-    sqrt and correct the off-by-one cases exactly.
+    Row i holds the pairs (i, i+1), ..., (i, n-1) and starts at the exact
+    integer offset S(i) = i*(2n-i-1)/2; i is the last row starting at or
+    before k.
     """
     k = k.astype(np.int64)
-    twon1 = 2 * n - 1
-    disc = twon1 * twon1 - 8 * k
-    i = (twon1 - np.sqrt(disc.astype(np.float64)).astype(np.int64)) // 2
-    # float sqrt can be off by one near row boundaries; fix both directions
-    for _ in range(2):
-        start = i * (2 * n - i - 1) // 2
-        too_big = start > k
-        i = np.where(too_big, i - 1, i)
-        start = i * (2 * n - i - 1) // 2
-        next_start = (i + 1) * (2 * n - i - 2) // 2
-        too_small = k >= next_start
-        i = np.where(too_small, i + 1, i)
-    start = i * (2 * n - i - 1) // 2
-    j = i + 1 + (k - start)
-    return i, j
+    # built in place: each extra n-sized temporary showed in peak RSS
+    starts = np.arange(n - 1, dtype=np.int64)
+    starts *= 2 * n - 1 - starts
+    starts //= 2
+    i = np.searchsorted(starts, k, side="right") - 1
+    return i, i + 1 + (k - starts[i])
 
 
 def sample_er(n: int, rho: float, rng) -> Graph:
@@ -218,18 +210,14 @@ def typicality(
     max_degree = int(degrees.max()) if g.n else 0
     max_degree_ok = max_degree <= math.log(g.n)
     small_cap = small_comp_constant * math.log(g.n)
-    small_ok = True
-    largest_small = 0
+    small = labeling.sizes[1:]
     # half the degree sum of a whole component is its edge count
-    comp_degree_sum = np.bincount(labeling.label, weights=degrees.astype(np.float64))
-    for cid in range(1, labeling.n_components):
-        size = int(labeling.sizes[cid])
-        largest_small = max(largest_small, size)
-        if size > small_cap or comp_degree_sum[cid] / 2 > size:
-            small_ok = False
+    small_edges = np.bincount(labeling.label, weights=degrees.astype(np.float64))[1:] / 2
+    small_ok = not ((small > small_cap) | (small_edges > small)).any()
+    largest_small = int(small.max()) if len(small) else 0
     return TypicalityReport(
         giant_size_ok=bool(giant_size_ok),
-        small_components_ok=bool(small_ok),
+        small_components_ok=small_ok,
         max_degree_ok=bool(max_degree_ok),
         giant_size=giant_size,
         xi_n=xi_n,

@@ -20,7 +20,9 @@ _BLOCK = 1 << 15
 def walk_time(u: float, rho: float, xi: float, n: int) -> int:
     """Number of walk steps carrying intensity u: round(u*rho*(2-xi)*xi*n).
 
-    Round-to-nearest keeps the scaling symmetric and reproducible.
+    Round-to-nearest keeps the scaling symmetric and reproducible. Raises
+    unless the product is finite and below 2**63, so that every time (and
+    every time grid cast to int64) fits a signed 64-bit integer.
     """
     if u < 0:
         raise ValueError("u must be nonnegative")
@@ -30,7 +32,10 @@ def walk_time(u: float, rho: float, xi: float, n: int) -> int:
         raise ValueError("rho must exceed 1")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return int(math.floor(u * rho * (2.0 - xi) * xi * n + 0.5))
+    steps = u * rho * (2.0 - xi) * xi * n
+    if not steps < 2.0 ** 63:
+        raise ValueError(f"walk time u*rho*(2-xi)*xi*n = {steps:g} is not below 2**63")
+    return int(math.floor(steps + 0.5))
 
 
 def default_ball_radius(n: int, rho: float) -> int:
@@ -55,18 +60,6 @@ def default_ball_radius(n: int, rho: float) -> int:
     growth = rho * xi
     want = math.ceil(math.log(50.0) / math.log(growth)) if growth > 1.0 else cap
     return max(3, min(want, cap))
-
-
-@dataclass(frozen=True)
-class VacantSet:
-    """Unvisited-vertex mask over a host component after a walk segment."""
-
-    component: np.ndarray
-    membership: np.ndarray
-    size: int
-
-    def vacant_vertices(self) -> np.ndarray:
-        return self.component[self.membership]
 
 
 @dataclass(frozen=True)
@@ -139,18 +132,18 @@ def run_walk_first_visits(g: Graph, component: np.ndarray, t: int, rng) -> np.nd
     return np.array(times, dtype=np.int64)
 
 
-def run_walk_vacant(g: Graph, component: np.ndarray, t: int, rng) -> VacantSet:
+def run_walk_vacant(g: Graph, component: np.ndarray, t: int, rng) -> np.ndarray:
     """Run a stationary-start walk for t uniform-neighbor steps and return
-    the unvisited mask; the starting vertex counts as visited."""
+    the unvisited vertices of the component; the starting vertex counts as
+    visited."""
     return vacant_from_first_visits(component, run_walk_first_visits(g, component, t, rng), t)
 
 
-def vacant_from_first_visits(component: np.ndarray, times: np.ndarray, s: int) -> VacantSet:
-    """Vacant set at time s derived from recorded first-visit times."""
+def vacant_from_first_visits(component: np.ndarray, times: np.ndarray, s: int) -> np.ndarray:
+    """Vacant vertices of the component at time s, in component order,
+    derived from recorded first-visit times."""
     tv = times[component]
-    membership = (tv < 0) | (tv > s)
-    return VacantSet(component=np.asarray(component), membership=membership,
-                     size=int(membership.sum()))
+    return component[(tv < 0) | (tv > s)]
 
 
 def _induced_edges(g: Graph, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -162,10 +155,10 @@ def _induced_edges(g: Graph, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return a[keep], b[keep]
 
 
-def vacant_components(g: Graph, v: VacantSet) -> ComponentLabeling:
-    """Canonical components of the subgraph induced by ``v.vacant_vertices()``
-    (ids are positions in it), from one csgraph call on the masked edge list."""
-    vac = v.vacant_vertices()
+def vacant_components(g: Graph, vac: np.ndarray) -> ComponentLabeling:
+    """Canonical components of the subgraph induced by the vacant vertices
+    ``vac`` (ids are positions in it), from one csgraph call on the masked
+    edge list."""
     k = len(vac)
     if k == 0:
         return _canonical_labeling(np.zeros(0, dtype=np.int64))

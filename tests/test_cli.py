@@ -292,6 +292,31 @@ class TestOtherCommands:
         assert "usage: vacantlab" in res.stderr
         assert "not a finite number" in res.stderr
 
+    @pytest.mark.parametrize("args", [
+        ["size-check", "--n", "2000", "--rho", "2", "--u", "1e308", "--trials", "1"],
+        ["hitting", "--n", "2000", "--rho", "2", "--u", "1e308", "--vertices", "1"],
+    ], ids=["size-check", "hitting"])
+    def test_huge_u_exits_one(self, tmp_path, args):
+        # a finite u whose walk time does not fit 64 bits is a runtime error, not a traceback
+        res = run_cli(args + ["--seed", "1"], tmp_path)
+        assert res.returncode == 1, res.stderr
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: walk time"), res.stderr
+
+    @pytest.mark.parametrize("grid", [
+        [],
+        ["--u-min", "0", "--u-steps", "3"],
+        ["--u-max", "1", "--u-steps", "3"],
+        ["--u-min", "0", "--u-max", "1"],
+    ], ids=["none", "no-u-max", "no-u-min", "no-u-steps"])
+    def test_incomplete_u_grid_is_usage_error(self, tmp_path, grid):
+        res = run_cli(["simulate", "--n", "200", "--rho", "2", "--trials", "1", *grid,
+                       "--seed", "1"], tmp_path)
+        assert res.returncode == 2, res.stderr
+        assert "usage: vacantlab" in res.stderr
+        assert "need --u or all of --u-min/--u-max/--u-steps" in res.stderr
+
     def test_rho_above_n_names_edge_probability(self, tmp_path):
         res = run_cli(["simulate", "--n", "200", "--rho", "1e9", "--u", "0.3", "--trials", "1",
                        "--seed", "1"], tmp_path)

@@ -60,13 +60,17 @@ class TestSolveZeta:
             z = critical.solve_zeta(0.5, rho, fval, tol=1e-10)
             assert abs(math.exp(-z * mu) - (1 - z)) <= 1e-10
 
-    def test_subcritical_regime_rejected(self):
-        # functional value driving the vacant mean degree to 1 or below
+    def test_zero_at_and_below_criticality(self):
+        # a vacant mean degree of 1 or below has no giant: zeta is exactly 0
         rho = 2.0
         xi = critical.solve_xi(rho)
         f_critical = (1 - rho * (1 - xi)) / (rho * xi)
-        with pytest.raises(ValueError, match="subcritical"):
-            critical.solve_zeta(2.0, rho, f_critical * 0.99)
+        assert critical.vacant_mean_degree(rho, xi, f_critical * 0.99) < 1.0
+        assert critical.solve_zeta(2.0, rho, f_critical * 0.99) == 0.0
+        assert critical.solve_zeta(2.0, rho, 0.0) == 0.0
+        assert critical.vacant_mean_degree(rho, xi, f_critical) == 1.0
+        assert critical.solve_zeta(2.0, rho, f_critical) == 0.0
+        assert critical.solve_zeta(2.0, rho, f_critical * 1.01) > 0.0
 
     def test_decreasing_in_u_with_common_randomness(self):
         caps = gw.capacity_samples(2.0, 20, 20_000, derive_stream(55, 0))

@@ -76,7 +76,10 @@ def _failing_trial(config, stream):
 
 class TestRunTrials:
     def test_zero_trials(self):
-        assert run_trials(None, 0, _identity_trial, root=derive_stream(1, 0)) == []
+        # an empty request has no result to report
+        for n_trials in (0, -1):
+            with pytest.raises(ValueError, match="n_trials must be positive"):
+                run_trials(None, n_trials, _identity_trial, root=derive_stream(1, 0))
 
     def test_identity_returns_indices(self):
         out = run_trials(None, 8, _identity_trial, root=derive_stream(1, 0))

@@ -149,6 +149,18 @@ class TestCrossingRoute:
         d_high = experiments.exploration_mean_degree_at(3000, 2.0, 1.2, 3, root.substream(1))
         assert d_low > d_high
 
+    def test_zero_trials_rejected(self, small_caps, serial):
+        # no trials give no mean: the crossing must not bisect on nan
+        root = derive_stream(45, 2)
+        with pytest.raises(ValueError, match="n_trials must be positive"):
+            sweep_vacant_structure(300, 2.0, [0.3], 0, root, caps=small_caps)
+        with pytest.raises(ValueError, match="n_trials must be positive"):
+            size_relation_check(300, 2.0, 0.3, 0, root)
+        with pytest.raises(ValueError, match="n_trials must be positive"):
+            experiments.exploration_mean_degree_at(2000, 2.0, 0.3, 0, root)
+        with pytest.raises(ValueError, match="n_trials must be positive"):
+            experiments.empirical_u_star_crossing(2000, 2.0, 0, root)
+
     def test_crossing_brackets_u_star(self, small_caps, serial):
         u_cross = experiments.empirical_u_star_crossing(10_000, 2.0, 3, derive_stream(45, 1), tol_u=0.05)
         res = critical.solve_u_star(2.0, small_caps.functional)

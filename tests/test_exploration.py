@@ -241,8 +241,8 @@ class TestVacantSnapshot:
 class TestErLawCheck:
     def test_rho_zero_skips_edge_test(self):
         report = er_law_check(100, 0.0, 0.0, 50, derive_stream(7, 0))
-        assert report.edge_test_skipped
         assert report.ks_pvalue_edges is None
+        assert report.degree_chisq_pvalue is None
         assert "p=0" in report.note
 
     def test_trial_floor(self):

@@ -51,6 +51,13 @@ class TestWalkTime:
         with pytest.raises(ValueError):
             walk_time(0.1, 0.9, 0.5, 10)
 
+    def test_time_fits_int64(self):
+        # 2**63 steps would overflow the int64 time grids; nan and inf have no step count
+        assert walk_time(2.0 ** 62, 2.0, 0.5, 1) == 2 ** 63 * 3 // 4
+        for u in (2.0 ** 63, 1e308, math.inf, math.nan):
+            with pytest.raises(ValueError, match="below 2\\*\\*63"):
+                walk_time(u, 2.0, 0.5, 4 / 3)
+
 
 class TestStationaryStart:
     def test_single_vertex_component(self):
@@ -102,11 +109,9 @@ class TestRunWalkVacant:
         g = sample_er(500, 2.0, derive_stream(5, 0))
         comp = whole_component(g)
         stream = derive_stream(5, 1)
-        masks = []
-        for t in (10, 50, 200):
-            masks.append(run_walk_vacant(g, comp, t, stream).membership)
-        assert (masks[1] <= masks[0]).all()
-        assert (masks[2] <= masks[1]).all()
+        vacs = [run_walk_vacant(g, comp, t, stream) for t in (10, 50, 200)]
+        assert np.isin(vacs[1], vacs[0]).all()
+        assert np.isin(vacs[2], vacs[1]).all()
 
     def test_first_visit_times_consistent(self):
         g = sample_er(400, 2.0, derive_stream(6, 0))
@@ -114,37 +119,32 @@ class TestRunWalkVacant:
         times = run_walk_first_visits(g, comp, 150, derive_stream(6, 1))
         direct = run_walk_vacant(g, comp, 150, derive_stream(6, 1))
         derived = vacant_from_first_visits(comp, times, 150)
-        assert np.array_equal(direct.membership, derived.membership)
+        assert np.array_equal(direct, derived)
+        # vacant vertices come in component order
+        assert np.array_equal(derived, comp[np.isin(comp, derived)])
         # visited count plus vacant size partitions the component
         assert derived.size + int((times[comp] >= 0).sum() - ((times[comp] > 150).sum())) == len(comp)
 
 
 class TestVacantComponents:
     def test_all_vacant_is_whole_component(self, triangle):
-        comp = whole_component(triangle)
-        vac = walk.VacantSet(component=comp, membership=np.ones(3, dtype=bool), size=3)
-        lab = vacant_components(triangle, vac)
+        lab = vacant_components(triangle, whole_component(triangle))
         assert lab.sizes.tolist() == [3]
 
     def test_none_vacant_empty(self, triangle):
-        comp = whole_component(triangle)
-        vac = walk.VacantSet(component=comp, membership=np.zeros(3, dtype=bool), size=0)
-        lab = vacant_components(triangle, vac)
+        lab = vacant_components(triangle, whole_component(triangle)[:0])
         assert lab.n_components == 0
 
     def test_path_with_middle_removed(self):
         g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
         comp = whole_component(g)
-        membership = np.array([v != 1 for v in comp])
-        vac = walk.VacantSet(component=comp, membership=membership, size=3)
-        lab = vacant_components(g, vac)
+        lab = vacant_components(g, comp[comp != 1])
         assert lab.sizes.tolist() == [2, 1]
 
 
-def rebuilt_subgraph_components(g, v):
+def rebuilt_subgraph_components(g, vac):
     """The reference route: rebuild the vacant-induced subgraph as a Graph
     and label it with ``components``."""
-    vac = v.vacant_vertices()
     k = len(vac)
     lookup = np.full(g.n, -1, dtype=np.int64)
     lookup[vac] = np.arange(k)
@@ -153,21 +153,17 @@ def rebuilt_subgraph_components(g, v):
     return components(graph_from_edges(k, lookup[eu[keep]], lookup[ev[keep]]))
 
 
-def vacant_set(comp, membership):
-    return walk.VacantSet(component=comp, membership=membership, size=int(membership.sum()))
-
-
 class TestVacantComponentsOracle:
     """The masked-edge-list kernel against the rebuilt-subgraph route, plus
     a direct check of the canonical order, which both routes share."""
 
-    def assert_matches_reference(self, g, v):
-        got = vacant_components(g, v)
-        ref = rebuilt_subgraph_components(g, v)
+    def assert_matches_reference(self, g, vac):
+        got = vacant_components(g, vac)
+        ref = rebuilt_subgraph_components(g, vac)
         for a, b in ((got.label, ref.label), (got.sizes, ref.sizes)):
             assert a.dtype == b.dtype
             assert np.array_equal(a, b)
-        k, nc = v.size, got.n_components
+        k, nc = len(vac), got.n_components
         assert np.array_equal(np.bincount(got.label, minlength=nc), got.sizes)
         first = np.full(nc, k)
         np.minimum.at(first, got.label, np.arange(k))
@@ -193,13 +189,13 @@ class TestVacantComponentsOracle:
         g = sample_er(2000, 2.0, derive_stream(62, 0))
         comp = whole_component(g)
         assert len(comp) < g.n
-        lab = self.assert_matches_reference(g, vacant_set(comp, np.ones(len(comp), dtype=bool)))
+        lab = self.assert_matches_reference(g, comp)
         assert lab.sizes.tolist() == [len(comp)]
 
     def test_empty_vacant_set(self):
         g = sample_er(2000, 2.0, derive_stream(62, 1))
         comp = whole_component(g)
-        lab = self.assert_matches_reference(g, vacant_set(comp, np.zeros(len(comp), dtype=bool)))
+        lab = self.assert_matches_reference(g, comp[:0])
         assert lab.n_components == 0 and len(lab.label) == 0
 
     def test_host_is_a_small_component(self):
@@ -208,7 +204,7 @@ class TestVacantComponentsOracle:
         assert 2 <= len(host) < g.n // 10
         gen = derive_stream(62, 3).generator()
         for membership in (np.ones(len(host), dtype=bool), gen.random(len(host)) < 0.6):
-            self.assert_matches_reference(g, vacant_set(host, membership))
+            self.assert_matches_reference(g, host[membership])
 
 
 class TestHittingTail:
