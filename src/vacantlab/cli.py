@@ -12,24 +12,10 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 
 from . import __version__, critical, experiments, exploration, gw
 from .engine import RngStream, TrialError, derive_stream
-
-
-@dataclass
-class RunManifest:
-    """Replay record written next to every output: re-running ``argv``
-    reproduces the output bytes (the duration field is informational)."""
-
-    command: str
-    argv: list
-    flags: dict
-    root_seed: int | None
-    version: str
-    duration_s: float
-    outputs: list = field(default_factory=list)
 
 
 def _json(obj) -> str:
@@ -47,20 +33,22 @@ def _emit(text: str, out_path: str | None) -> list[str]:
 
 def _write_manifest(command: str, args: argparse.Namespace, argv: list[str],
                     started: float, outputs: list[str]) -> None:
+    """Replay record written next to every output: re-running ``argv``
+    reproduces the output bytes (``duration_s`` is informational)."""
     path = args.manifest
     if path is None:
         path = f"{args.out}.manifest.json" if args.out else f"vacantlab-{command}-manifest.json"
-    manifest = RunManifest(
-        command=command,
-        argv=argv,
-        flags={k: v for k, v in sorted(vars(args).items()) if k not in ("func", "manifest")},
-        root_seed=args.seed,
-        version=__version__,
-        duration_s=round(time.time() - started, 3),
-        outputs=outputs,
-    )
+    manifest = {
+        "command": command,
+        "argv": argv,
+        "flags": {k: v for k, v in sorted(vars(args).items()) if k not in ("func", "manifest")},
+        "root_seed": args.seed,
+        "version": __version__,
+        "duration_s": round(time.time() - started, 3),
+        "outputs": outputs,
+    }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_json(asdict(manifest)))
+        fh.write(_json(manifest))
 
 
 def _capacity_stream(args) -> RngStream:

@@ -4,7 +4,7 @@ jumping to a uniform vertex whenever the current component is exhausted.
 
 The unvisited vertices of this process carry a fresh random-graph law on
 their untouched pairs (the spatial Markov property), which
-``vacant_snapshot`` materializes by drawing those pairs afresh.
+``er_law_check`` uses by drawing those pairs afresh with ``sample_er``.
 
 Performance notes: the unvisited set is an array with swap-removal plus a
 position index for O(1) deletion and uniform sampling; per-step edge
@@ -25,7 +25,7 @@ import numpy as np
 from . import critical, walk
 from ._gof import chisq_pvalue_counts_vs_probs
 from .engine import RngStream, as_generator, ks_uniform_pvalue, run_trials
-from .random_graph import Graph, sample_er
+from .random_graph import sample_er
 
 # _Uniforms draws blocks of 16, 32, ... uniforms up to _BLOCK, so a short
 # exploration does not pay for thousands of draws it never uses.
@@ -76,9 +76,6 @@ class ExplorationState:
     @property
     def unvisited_count(self) -> int:
         return len(self._unvisited)
-
-    def unvisited_vertices(self) -> np.ndarray:
-        return np.array(sorted(self._unvisited), dtype=np.int64)
 
 
 def _visit(state: ExplorationState, v: int) -> None:
@@ -134,10 +131,10 @@ def new_exploration(n: int, rho: float, rng) -> ExplorationState:
     draw = _Uniforms(gen)
     start = int(gen.integers(0, n))
     # the start goes last, so removing it leaves the others in vertex order
-    unvisited = [v for v in range(n) if v != start] + [start]
-    position = [0] * n
-    for pos, v in enumerate(unvisited):
-        position[v] = pos
+    unvisited = list(range(start)) + list(range(start + 1, n)) + [start]
+    position = list(range(n))
+    position[start + 1:] = range(start, n - 1)
+    position[start] = n - 1
     state = ExplorationState(
         n=n,
         p=p,
@@ -190,39 +187,10 @@ def run_to(state: ExplorationState, t: int) -> ExplorationState:
     return state
 
 
-@dataclass(frozen=True)
-class VacantGraphSnapshot:
-    """Unvisited vertices at snapshot time with freshly materialized
-    edges; conditionally on its vertex count, the graph is a plain
-    random graph at the exploration's edge probability."""
-
-    vertices: np.ndarray
-    graph: Graph
-    t: int
-
-
-def vacant_snapshot(state: ExplorationState, rng) -> VacantGraphSnapshot:
-    """Materialize the vacant graph on the unvisited vertices.
-
-    Edges between unvisited vertices are provably unexplored, so each is
-    drawn independently at the exploration's edge probability, from the
-    dedicated stream given here: the exploration's own randomness is
-    untouched and its trajectory does not depend on snapshots taken.
-    Repeated snapshots are independent materializations; a snapshot is
-    not fed back into continued exploration.
-    """
-    verts = state.unvisited_vertices()
-    k = len(verts)
-    if k == 0:
-        sub = Graph(n=0, indptr=np.zeros(1, dtype=np.int64), indices=np.zeros(0, dtype=np.int64), m=0)
-    else:
-        sub = sample_er(k, state.p * k, rng)
-    return VacantGraphSnapshot(vertices=verts, graph=sub, t=state.step)
-
-
 def default_burn_in(n: int) -> int:
-    """Extra steps run beyond the nominal walk time before snapshotting:
-    ceil(log^3 n), which dominates the walk's mixing time yet is o(n)."""
+    """Extra steps run beyond the nominal walk time before the vacant set
+    is read: ceil(log^3 n), which dominates the walk's mixing time yet is
+    o(n)."""
     return int(math.ceil(math.log(max(n, 2)) ** 3))
 
 
@@ -254,36 +222,35 @@ class _ErTrialConfig:
 
 
 def _er_trial(cfg: _ErTrialConfig, stream: RngStream) -> tuple:
-    """One exploration to time cfg.t and one snapshot of its vacant graph:
-    the vacant vertex count, the randomized PIT of the snapshot's edge
-    count and its degree histogram (both None when p = 0 or fewer than two
-    vertices are vacant)."""
+    """One exploration to time cfg.t and a fresh draw of its vacant graph:
+    the vacant vertex count k, the randomized PIT of the vacant graph's
+    edge count and its degree histogram (both None when p = 0 or k < 2)."""
     state = run_to(new_exploration(cfg.n, cfg.rho, stream.substream(0)), cfg.t)
+    k = state.unvisited_count
+    if state.p <= 0.0 or k < 2:
+        return k, None, None
     gen = stream.substream(1).generator()
-    snap = vacant_snapshot(state, gen)
-    big_n = len(snap.vertices)
-    p = cfg.rho / cfg.n
-    if p <= 0.0 or big_n < 2:
-        return big_n, None, None
-    pit = _binomial_pit(snap.graph.m, big_n * (big_n - 1) // 2, p, float(gen.random()))
-    return big_n, pit, np.bincount(snap.graph.degrees())
+    # spatial Markov property: the pairs among unvisited vertices are unexplored, so this is G(k, p)
+    vacant = sample_er(k, state.p * k, gen)
+    pit = _binomial_pit(vacant.m, k * (k - 1) // 2, state.p, float(gen.random()))
+    return k, pit, np.bincount(vacant.degrees())
 
 
 def er_law_check(n: int, rho: float, u: float, n_trials: int, root: RngStream) -> ErLawReport:
-    """Statistical check of the vacant snapshot's edge law.
+    """Statistical check of the vacant graph's edge law.
 
     Runs ``n_trials`` explorations to walk_time(u) + default_burn_in(n)
-    (only the burn-in when rho <= 1, where u must be 0), snapshots each,
-    and tests (i) per-trial edge counts against their binomial law, pooled
-    through a randomized PIT into a KS-uniformity p-value, and (ii) the
-    pooled degree histogram against the per-trial binomial degree mixture
-    by chi-square. Also reports the mean vacant vertex
-    fraction and the mean vacant-graph degree, the quantity whose
+    (only the burn-in when rho <= 1, where u must be 0), draws each one's
+    vacant graph, and tests (i) per-trial edge counts against their
+    binomial law, pooled through a randomized PIT into a KS-uniformity
+    p-value, and (ii) the pooled degree histogram against the per-trial
+    binomial degree mixture by chi-square. Also reports the mean vacant
+    vertex fraction and the mean vacant-graph degree, the quantity whose
     crossing of 1 locates the critical intensity.
 
-    The p-values do not test the exploration: ``vacant_snapshot`` draws
-    the vacant edges fresh from ``sample_er(k, p*k)``, so they are uniform
-    by construction and check ``sample_er``, not the spatial Markov
+    The p-values do not test the exploration: each trial draws the vacant
+    edges fresh with ``sample_er(k, p*k)``, so they are uniform by
+    construction and check ``sample_er``, not the spatial Markov
     property. The exploration's law is checked by the test suite's
     ``TestAnnealedEquivalence`` and acceptances 07 and 10.
 
@@ -291,6 +258,8 @@ def er_law_check(n: int, rho: float, u: float, n_trials: int, root: RngStream) -
     own stream, so any trial replays alone and the report is identical
     for every worker count.
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if n_trials < 50:
         raise ValueError("need at least 50 trials")
     if u < 0:
@@ -308,10 +277,11 @@ def er_law_check(n: int, rho: float, u: float, n_trials: int, root: RngStream) -
     mean_degree = mean_fraction * rho
     tested = [trial for trial in trials if trial[1] is not None]
     if not tested:
+        reason = "p=0" if p <= 0.0 else "fewer than 2 vacant vertices in every trial"
         return ErLawReport(ks_pvalue_edges=None, degree_chisq_pvalue=None,
                            mean_vacant_fraction=mean_fraction,
                            mean_vacant_mean_degree=mean_degree,
-                           n_trials=n_trials, note="edge test skipped: p=0")
+                           n_trials=n_trials, note=f"edge test skipped: {reason}")
     ks_p = ks_uniform_pvalue([pit for _, pit, _ in tested])
     degree_hist = np.zeros(max(len(hist) for _, _, hist in tested), dtype=np.int64)
     for _, _, hist in tested:

@@ -47,7 +47,6 @@ class GWTree:
     depth: np.ndarray
     backbone: np.ndarray
     depth_cap: int
-    conditioned: bool
 
     @property
     def n_nodes(self) -> int:
@@ -65,7 +64,6 @@ class CapacityResult:
     capacity: float
     escape_probability: float
     root_degree: int
-    radius: int
 
 
 def _positive_poisson(gen: np.random.Generator, lam: float, size: int) -> np.ndarray:
@@ -78,8 +76,7 @@ def _positive_poisson(gen: np.random.Generator, lam: float, size: int) -> np.nda
     return out
 
 
-def _assemble(parents: list, level_sizes: list, backbone: np.ndarray, depth_cap: int,
-              conditioned: bool) -> GWTree:
+def _assemble(parents: list, level_sizes: list, backbone: np.ndarray, depth_cap: int) -> GWTree:
     """Tree from its per-level parent arrays; nodes of one level are
     contiguous, so depths follow from the level sizes alone."""
     return GWTree(
@@ -87,7 +84,6 @@ def _assemble(parents: list, level_sizes: list, backbone: np.ndarray, depth_cap:
         depth=np.repeat(np.arange(len(level_sizes)), level_sizes),
         backbone=backbone,
         depth_cap=depth_cap,
-        conditioned=conditioned,
     )
 
 
@@ -113,7 +109,7 @@ def sample_gw(rho: float, depth_cap: int, rng, node_budget: int = DEFAULT_NODE_B
         parents.append(np.repeat(level, counts))
         level_sizes.append(n_new)
         level = np.arange(total - n_new, total, dtype=np.int64)
-    return _assemble(parents, level_sizes, np.zeros(total, dtype=bool), depth_cap, conditioned=False)
+    return _assemble(parents, level_sizes, np.zeros(total, dtype=bool), depth_cap)
 
 
 def sample_gw_conditioned(rho: float, depth_cap: int, rng, node_budget: int = DEFAULT_NODE_BUDGET) -> GWTree:
@@ -155,7 +151,7 @@ def sample_gw_conditioned(rho: float, depth_cap: int, rng, node_budget: int = DE
         level_sizes.append(n_new)
         backbones.append(level_backbone)
         level_ids = np.arange(total - n_new, total, dtype=np.int64)
-    return _assemble(parents, level_sizes, np.concatenate(backbones), depth_cap, conditioned=True)
+    return _assemble(parents, level_sizes, np.concatenate(backbones), depth_cap)
 
 
 def sample_gw_rejection(rho: float, depth_cap: int, rng, node_budget: int = DEFAULT_NODE_BUDGET,
@@ -233,8 +229,7 @@ def conductance_to_boundary(tree: GWTree, radius: int) -> CapacityResult:
     capacity = float(acc[0])
     root_degree = tree.root_degree()
     escape = capacity / root_degree if root_degree > 0 else 0.0
-    return CapacityResult(capacity=capacity, escape_probability=escape,
-                          root_degree=root_degree, radius=radius)
+    return CapacityResult(capacity=capacity, escape_probability=escape, root_degree=root_degree)
 
 
 def regular_tree_capacity(branching: int, radius: int) -> float:

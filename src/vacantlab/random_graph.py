@@ -1,20 +1,15 @@
-"""Sparse random graph sampling (edge probability rho/n), connected
-components with a deterministic tie-break, and the typicality checks used
-to qualify a sampled instance before walk experiments.
+"""Sparse random graph sampling (edge probability rho/n) and connected
+components with a deterministic tie-break.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from . import critical
 from .engine import as_generator
-
-DEFAULT_SMALL_COMPONENT_CONSTANT = 30.0
 
 _GAP_CHUNK = 1 << 14
 
@@ -79,21 +74,6 @@ class ComponentLabeling:
     @property
     def n_components(self) -> int:
         return len(self.sizes)
-
-
-@dataclass(frozen=True)
-class TypicalityReport:
-    giant_size_ok: bool
-    small_components_ok: bool
-    max_degree_ok: bool
-    giant_size: int
-    xi_n: float
-    max_degree: int
-    largest_small_component: int
-
-    @property
-    def all_ok(self) -> bool:
-        return self.giant_size_ok and self.small_components_ok and self.max_degree_ok
 
 
 def _pair_from_index(k: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -188,39 +168,3 @@ def giant_vertices(labeling: ComponentLabeling) -> np.ndarray:
         raise ValueError("empty labeling")
     return np.flatnonzero(labeling.label == 0)
 
-
-def typicality(
-    g: Graph,
-    labeling: ComponentLabeling,
-    rho: float,
-    small_comp_constant: float = DEFAULT_SMALL_COMPONENT_CONSTANT,
-) -> TypicalityReport:
-    """Check the three typical-instance predicates: giant size within
-    n^(3/4) of xi*n, all other components simple (edges <= vertices) and
-    of size at most small_comp_constant * log(n), and max degree at most
-    log(n). Logs are natural.
-    """
-    if g.n < 2:
-        raise ValueError("n must be at least 2")
-    xi = critical.solve_xi(rho)
-    xi_n = xi * g.n
-    giant_size = int(labeling.sizes[0])
-    giant_size_ok = abs(giant_size - xi_n) <= g.n ** 0.75
-    degrees = g.degrees()
-    max_degree = int(degrees.max()) if g.n else 0
-    max_degree_ok = max_degree <= math.log(g.n)
-    small_cap = small_comp_constant * math.log(g.n)
-    small = labeling.sizes[1:]
-    # half the degree sum of a whole component is its edge count
-    small_edges = np.bincount(labeling.label, weights=degrees.astype(np.float64))[1:] / 2
-    small_ok = not ((small > small_cap) | (small_edges > small)).any()
-    largest_small = int(small.max()) if len(small) else 0
-    return TypicalityReport(
-        giant_size_ok=bool(giant_size_ok),
-        small_components_ok=small_ok,
-        max_degree_ok=bool(max_degree_ok),
-        giant_size=giant_size,
-        xi_n=xi_n,
-        max_degree=max_degree,
-        largest_small_component=largest_small,
-    )

@@ -64,8 +64,6 @@ def default_ball_radius(n: int, rho: float) -> int:
 
 @dataclass(frozen=True)
 class EscapeEstimate:
-    vertex: int
-    radius: int
     p_escape: EstimateCI
     pi_x: float
     boundary_empty: bool = False
@@ -297,26 +295,24 @@ def escape_probability(g: Graph, component: np.ndarray, x: int, r: int, n_walks:
     pi_x = stationary_pi(g, component, x)
     members, covers = ball(g, x, r)
     if covers:
-        return EscapeEstimate(vertex=int(x), radius=r, p_escape=aggregate([0.0] * n_walks),
-                              pi_x=pi_x, boundary_empty=True)
+        return EscapeEstimate(p_escape=aggregate([0.0] * n_walks), pi_x=pi_x, boundary_empty=True)
     target = np.zeros(g.n, dtype=np.int64)
     target[members] = -1
     target[x] = 0
     # the ball has a boundary, so every walker stops almost surely
     _, ends = _killed_walks(g, np.full(n_walks, x, dtype=np.int64), target, None, gen,
                             start_counts=False)
-    return EscapeEstimate(vertex=int(x), radius=r, p_escape=aggregate(ends != x),
-                          pi_x=pi_x, boundary_empty=False)
+    return EscapeEstimate(p_escape=aggregate(ends != x), pi_x=pi_x, boundary_empty=False)
 
 
-def spectral_gap(g: Graph, component: np.ndarray, dense_cap: int = DENSE_SPECTRAL_CAP) -> float:
+def spectral_gap(g: Graph, component: np.ndarray) -> float:
     """Smallest nonconstant eigenvalue of I - P on the component, where P
     is the walk transition operator: 1 minus the second largest eigenvalue
     of P. Computed on the degree-symmetrized operator; bipartite
     components legitimately report values above 1.
     """
     k = len(component)
-    if k > dense_cap:
+    if k > DENSE_SPECTRAL_CAP:
         raise ValueError("component too large for dense spectral solve")
     if k == 1:
         raise ValueError("spectral gap undefined on a single vertex")

@@ -58,11 +58,16 @@ def star_graph(leaves: int) -> Graph:
     return build_graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
+def unvisited(state) -> np.ndarray:
+    """Unvisited vertices of an exploration state, in ascending order."""
+    return np.array(sorted(state._unvisited), dtype=np.int64)
+
+
 def visited_mask(state) -> np.ndarray:
     """Visited vertices of an exploration state as a boolean mask: every
     vertex not in its unvisited list."""
     mask = np.ones(state.n, dtype=bool)
-    mask[state.unvisited_vertices()] = False
+    mask[unvisited(state)] = False
     return mask
 
 

@@ -267,8 +267,9 @@ class TestOtherCommands:
          "n_vertices_probed must be positive"),
         (["solve", "--rho", "2", "--trees", "0"], "n_trees must be positive"),
         (["capacity", "--rho", "2", "--u", "0.3", "--trees", "0"], "n_trees must be positive"),
+        (["er-check", "--n", "0", "--rho", "2", "--u", "0", "--trials", "50"], "n must be at least 1"),
     ], ids=["size-check-trials-0", "simulate-trials-0", "simulate-trees-0", "hitting-vertices-0",
-            "hitting-vertices-negative", "solve-trees-0", "capacity-trees-0"])
+            "hitting-vertices-negative", "solve-trees-0", "capacity-trees-0", "er-check-n-0"])
     def test_empty_request_exits_one(self, tmp_path, args, message):
         # a request for no trials or no probed vertices has no result to report
         res = run_cli(args + ["--seed", "1"], tmp_path)

@@ -1,10 +1,12 @@
+import dataclasses
 import hashlib
+import json
 import math
 
 import numpy as np
 import pytest
 
-from conftest import fixed_graph_covering_walk, visited_mask
+from conftest import fixed_graph_covering_walk, unvisited, visited_mask
 from vacantlab import critical, exploration, walk
 from vacantlab._gof import chisq_pvalue_two_sample
 from vacantlab.engine import derive_stream
@@ -13,7 +15,6 @@ from vacantlab.exploration import (
     er_law_check,
     new_exploration,
     run_to,
-    vacant_snapshot,
 )
 from vacantlab.random_graph import sample_er
 
@@ -89,17 +90,6 @@ class TestDeterminism:
         with pytest.raises(ValueError):
             run_to(state, 2)
 
-    def test_snapshot_does_not_perturb_exploration(self):
-        stream = derive_stream(3, 2)
-        a = new_exploration(300, 2.0, stream)
-        run_to(a, 50)
-        vacant_snapshot(a, derive_stream(99, 0))
-        vacant_snapshot(a, derive_stream(99, 1))
-        run_to(a, 120)
-        b = new_exploration(300, 2.0, stream)
-        run_to(b, 120)
-        assert_states_equal(a, b)
-
 
 class TestInvariants:
     def test_open_edges_touch_visited_and_frontier_exact(self):
@@ -171,7 +161,7 @@ class TestExplorationGolden:
         h = hashlib.sha256()
         h.update(repr((state.step, state.current, state.jumps, state.covered,
                        state.frontier_count, state.explored_adjacency)).encode())
-        h.update(state.unvisited_vertices().tobytes())
+        h.update(unvisited(state).tobytes())
         assert h.hexdigest() == digest
 
 
@@ -224,18 +214,17 @@ class TestAnnealedEquivalence:
 class TestVacantSnapshot:
     def test_fresh_state_has_all_but_start(self):
         state = new_exploration(50, 1.0, derive_stream(6, 0))
-        snap = vacant_snapshot(state, derive_stream(6, 1))
-        assert len(snap.vertices) == 49
-        assert snap.graph.n == 49
-        assert snap.t == 0
+        vacant = unvisited(state)
+        assert vacant.tolist() == [v for v in range(50) if v != state.current]
+        assert state.unvisited_count == 49
+        assert state.step == 0
 
     def test_covered_state_empty(self):
         state = new_exploration(30, 1.5, derive_stream(6, 2))
         while not state.covered:
             advance(state)
-        snap = vacant_snapshot(state, derive_stream(6, 3))
-        assert len(snap.vertices) == 0
-        assert snap.graph.n == 0
+        assert len(unvisited(state)) == 0
+        assert state.unvisited_count == 0
 
 
 class TestErLawCheck:
@@ -249,6 +238,13 @@ class TestErLawCheck:
         with pytest.raises(ValueError):
             er_law_check(100, 1.0, 0.1, 10, derive_stream(7, 1))
 
+    def test_skip_note_names_too_few_vacant_vertices(self):
+        # one vertex, visited at the start: p > 0 but no trial has two vacant vertices
+        report = er_law_check(1, 0.5, 0.0, 50, derive_stream(7, 4))
+        assert report.ks_pvalue_edges is None
+        assert report.mean_vacant_fraction == 0.0
+        assert report.note == "edge test skipped: fewer than 2 vacant vertices in every trial"
+
     def test_healthy_law_at_moderate_scale(self):
         report = er_law_check(1200, 2.0, 0.3, 120, derive_stream(7, 2))
         assert report.ks_pvalue_edges > 0.01
@@ -259,6 +255,23 @@ class TestErLawCheck:
 
     def test_burn_in_default_value(self):
         assert exploration.default_burn_in(100_000) == math.ceil(math.log(100_000) ** 3)
+
+
+class TestErLawGolden:
+    """Report bytes are pinned: each trial's vacant-graph draw must not
+    change when the way it is made from the exploration does."""
+
+    @pytest.mark.parametrize("n, rho, u, seed, digest", [
+        (300, 2.0, 0.3, 1, "eed8e9b10771c52f44210aa4e7b8804599f9e63f9c6052d46264ca01a98352f1"),
+        (200, 0.8, 0.0, 2, "448d33c18ad461c43a5d86511033dcdd1b82668ae5b2d806167b9849613763ba"),
+        (12, 3.0, 0.0, 3, "2b2c392264838b09dc8bf7414b88f5a96e1c0fa495cb13c21dd7042089570e62"),
+        (6, 1.5, 0.0, 4, "fd028d87bfdb69a572e7b63f3962656dc65050b2946c82a828c8ad523a5696dd"),
+        (100, 0.0, 0.0, 5, "67329508f25ef49747458acfb7cddd33550f4ffa04af6e90405f2ad9e884c10a"),
+    ], ids=["supercritical", "subcritical", "few-vacant", "n6", "rho0"])
+    def test_report_unchanged(self, n, rho, u, seed, digest):
+        report = er_law_check(n, rho, u, 50, derive_stream(seed, 0))
+        text = json.dumps(dataclasses.asdict(report))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestSizeRelationDirection:

@@ -28,7 +28,6 @@ def unary_chain(length: int) -> GWTree:
         depth=np.arange(length + 1, dtype=np.int64),
         backbone=np.zeros(length + 1, dtype=bool),
         depth_cap=length,
-        conditioned=False,
     )
 
 
@@ -49,7 +48,6 @@ def bary_tree(b: int, depth: int) -> GWTree:
         depth=np.concatenate(depths),
         backbone=np.zeros(total, dtype=bool),
         depth_cap=depth,
-        conditioned=False,
     )
 
 

@@ -4,14 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import build_graph, complete_graph, xi_fixed_point_oracle
+from conftest import build_graph, xi_fixed_point_oracle
 from vacantlab.engine import derive_stream
 from vacantlab.random_graph import (
     ComponentLabeling,
     components,
     giant_vertices,
     sample_er,
-    typicality,
     _pair_from_index,
 )
 
@@ -126,34 +125,6 @@ class TestComponents:
 
 
 class TestTypicality:
-    def test_complete_graph_fails_max_degree(self):
-        g = complete_graph(5)
-        rep = typicality(g, components(g), rho=2.0)
-        assert not rep.max_degree_ok  # 4 > log 5
-
-    def test_empty_graph_fails_giant(self):
-        g = sample_er(10, 0.0, derive_stream(1, 0))
-        rep = typicality(g, components(g), rho=2.0)
-        assert not rep.giant_size_ok
-
-    def test_typical_sample_passes(self):
-        # calibration: the giant-size and small-component flags hold in
-        # every sample at this scale; the max-degree flag fails in ~9% of
-        # samples (P[max degree > ln n] converges to 0 slowly), putting the
-        # joint rate near 0.91, so the bar is set at 85 of 100
-        n, rho = 100_000, 2.0
-        root = derive_stream(31, 0)
-        ok = giant_ok = small_ok = 0
-        for i in range(100):
-            g = sample_er(n, rho, root.substream(i))
-            rep = typicality(g, components(g), rho, small_comp_constant=30.0)
-            ok += rep.all_ok
-            giant_ok += rep.giant_size_ok
-            small_ok += rep.small_components_ok
-        assert giant_ok == 100
-        assert small_ok == 100
-        assert ok >= 85
-
     def test_giant_fraction_concentrates(self):
         n, rho = 100_000, 2.0
         xi = xi_fixed_point_oracle(rho)

@@ -19,11 +19,9 @@ SRC = Path(vacantlab.__file__).resolve().parent
 ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 
 # Kept on purpose although only tests call them: independent oracles the
-# unit tests check the fast paths against, the adjacency accessor those
-# oracles read graphs through, and the typicality predicates, which are
-# meant to become run telemetry.
-ALLOWED = {"walk.spectral_gap", "gw.capacity_samples_direct", "random_graph.Graph.neighbors",
-           "random_graph.typicality", "random_graph.TypicalityReport.all_ok"}
+# unit tests check the fast paths against, and the adjacency accessor those
+# oracles read graphs through.
+ALLOWED = {"walk.spectral_gap", "gw.capacity_samples_direct", "random_graph.Graph.neighbors"}
 
 
 def _public(name: str) -> bool:

@@ -17,6 +17,7 @@ from vacantlab import walk
 from vacantlab.engine import derive_stream
 from vacantlab.random_graph import components, giant_vertices, graph_from_edges, sample_er
 from vacantlab.walk import (
+    DENSE_SPECTRAL_CAP,
     escape_probability,
     estimate_hitting_tail,
     estimate_hitting_tails,
@@ -403,9 +404,9 @@ class TestSpectralGap:
         assert spectral_gap(g, whole_component(g)) == pytest.approx(2.0, abs=1e-10)
 
     def test_size_cap(self):
-        g = cycle_graph(10)
+        g = cycle_graph(DENSE_SPECTRAL_CAP + 1)
         with pytest.raises(ValueError, match="too large"):
-            spectral_gap(g, whole_component(g), dense_cap=5)
+            spectral_gap(g, whole_component(g))
 
     def test_er_giant_gap_lower_bound(self):
         # qualitative mixing bound: gap at least c/log^2(n) in >= 95% of
