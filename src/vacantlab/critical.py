@@ -54,7 +54,8 @@ def solve_xi(rho: float, tol: float = DEFAULT_TOL) -> float:
     """Survival probability of the mean-``rho`` Poisson branching process:
     the unique solution in (0,1) of exp(-rho*x) = 1 - x.
 
-    Raises for rho <= 1 (subcritical: no positive solution).
+    Raises for rho <= 1 (subcritical: no positive solution) and for rho
+    above about 37.43, where xi is within float resolution of 1.
     """
     if rho <= 1.0:
         raise ValueError("subcritical: no positive solution")
@@ -62,6 +63,8 @@ def solve_xi(rho: float, tol: float = DEFAULT_TOL) -> float:
         raise ValueError("tol must be positive")
     # g(x) = exp(-rho x) - 1 + x is < 0 on (0, xi) and > 0 on (xi, 1).
     g = lambda x: math.exp(-rho * x) - 1.0 + x
+    if g(1.0 - 1e-16) < 0.0:  # the bracket's upper end already lies below xi
+        raise ValueError(f"rho={rho:g} is too large: xi = 1 - exp(-rho*xi) is within float resolution of 1")
     return _bisect(lambda x: -g(x), 1e-16, 1.0 - 1e-16, tol)
 
 

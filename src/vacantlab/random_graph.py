@@ -1,5 +1,5 @@
-"""Sparse random graph sampling (edge probability rho/n) and connected
-components with a deterministic tie-break.
+"""Sparse random graph sampling (edge probability rho/n) and the one
+connected-components labeller, for a graph and for its vacant sets.
 """
 
 from __future__ import annotations
@@ -138,27 +138,31 @@ def sample_er(n: int, rho: float, rng) -> Graph:
 
 def components(g: Graph) -> ComponentLabeling:
     """Exact connected components, in the canonical order of ComponentLabeling."""
-    if g.n == 0:
-        return _canonical_labeling(np.zeros(0, dtype=np.int64))
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    data = np.ones(len(g.indices), dtype=np.int8)
-    _, raw = connected_components(csr_matrix((data, g.indices, g.indptr), shape=(g.n, g.n)),
-                                  directed=False)
-    return _canonical_labeling(raw)
+    return _label(g.n, *g.edge_arrays)
 
 
-def _canonical_labeling(raw: np.ndarray) -> ComponentLabeling:
-    """Canonical labeling from scipy csgraph component labels."""
-    raw_sizes = np.bincount(raw)
-    n_comp = len(raw_sizes)
-    # scipy labels components by smallest contained vertex order already;
-    # reorder by (-size, label) which is exactly (-size, min vertex).
-    order = np.lexsort((np.arange(n_comp), -raw_sizes))
-    relabel = np.empty(n_comp, dtype=np.int64)
-    relabel[order] = np.arange(n_comp)
-    return ComponentLabeling(label=relabel[raw], sizes=raw_sizes[order])
+def _label(k: int, a: np.ndarray, b: np.ndarray) -> ComponentLabeling:
+    """Canonical components of the k-vertex graph with edges (a[i], b[i]),
+    by hook and shortcut (Shiloach & Vishkin, J. Algorithms 3, 1982): each
+    root hooks onto the smallest root it shares an edge with, then every
+    vertex jumps to its root, until no edge joins two trees. Hooks only
+    lower roots, so each root ends as its component's smallest vertex."""
+    root = np.arange(k, dtype=np.int64)
+    while True:
+        ra, rb = root[a], root[b]
+        if np.array_equal(ra, rb):
+            break
+        # an edge inside one tree hooks its root onto itself, which changes nothing
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while not np.array_equal(jumped := root[root], root):
+            root = jumped
+    roots = np.flatnonzero(root == np.arange(k))
+    sizes = np.bincount(root, minlength=k)[roots]
+    # roots ascend, so a stable sort by -size breaks ties by smallest vertex
+    order = np.argsort(-sizes, kind="stable")
+    relabel = np.empty(k, dtype=np.int64)
+    relabel[roots[order]] = np.arange(len(roots))
+    return ComponentLabeling(label=relabel[root], sizes=sizes[order])
 
 
 def giant_vertices(labeling: ComponentLabeling) -> np.ndarray:

@@ -1,6 +1,6 @@
 """Simple random walk on a fixed connected component: stationary starts,
-vacant-set tracking at the model's time scaling, hitting-time and escape
-probability estimation, and a dense-solve spectral gap diagnostic.
+vacant sets at the model's time scaling and their components, hitting-time
+and escape probability estimation, and a spectral gap oracle (scipy).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import EstimateCI, aggregate, as_generator
-from .random_graph import ComponentLabeling, Graph, _canonical_labeling
+from .random_graph import ComponentLabeling, Graph, _label
 
 DENSE_SPECTRAL_CAP = 5000
 _BLOCK = 1 << 15
@@ -66,12 +66,10 @@ def default_ball_radius(n: int, rho: float) -> int:
 class EscapeEstimate:
     p_escape: EstimateCI
     pi_x: float
-    boundary_empty: bool = False
 
 
 @dataclass(frozen=True)
 class HittingTailEstimate:
-    vertex: int
     ts: np.ndarray
     tail: np.ndarray
     mean_hitting: float
@@ -155,17 +153,8 @@ def _induced_edges(g: Graph, vertices: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def vacant_components(g: Graph, vac: np.ndarray) -> ComponentLabeling:
     """Canonical components of the subgraph induced by the vacant vertices
-    ``vac`` (ids are positions in it), from one csgraph call on the masked
-    edge list."""
-    k = len(vac)
-    if k == 0:
-        return _canonical_labeling(np.zeros(0, dtype=np.int64))
-    from scipy.sparse import coo_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    a, b = _induced_edges(g, vac)
-    adjacency = coo_matrix((np.ones(len(a), dtype=np.int8), (a, b)), shape=(k, k))
-    return _canonical_labeling(connected_components(adjacency, directed=False)[1])
+    ``vac`` (ids are positions in it), labelled from the masked edge list."""
+    return _label(len(vac), *_induced_edges(g, vac))
 
 
 def _step_all(g_indptr, g_indices, deg, cur, gen) -> np.ndarray:
@@ -225,7 +214,7 @@ def estimate_hitting_tails(g: Graph, component: np.ndarray, targets, ts, n_walks
                            rng) -> list[HittingTailEstimate]:
     """Empirical P[H_x > t] on the given time grid for every x in
     ``targets``, plus the censored-exponential estimate of E[H_x], all from
-    one ensemble of stationary-start walks.
+    one ensemble of stationary-start walks, in the order of ``targets``.
 
     Each walker records its first hit of every target and is capped at
     max(ts); capped walks enter each mean as censored observations (total
@@ -247,13 +236,13 @@ def estimate_hitting_tails(g: Graph, component: np.ndarray, targets, ts, n_walks
     target[targets] = np.arange(len(targets))
     times, _ = _killed_walks(g, starts, target, cap, gen, start_counts=True)
     out = []
-    for j, x in enumerate(targets):
+    for j in range(len(targets)):
         hit_time = np.where(times[:, j] < 0, cap + 1, times[:, j])
         censored = hit_time > cap
         n_hits = int((~censored).sum())
         observed = int(np.minimum(hit_time, cap).sum())
         mean_hit = float(observed / n_hits) if n_hits > 0 else math.inf
-        out.append(HittingTailEstimate(vertex=int(x), ts=ts, tail=(hit_time[:, None] > ts).mean(axis=0),
+        out.append(HittingTailEstimate(ts=ts, tail=(hit_time[:, None] > ts).mean(axis=0),
                                        mean_hitting=mean_hit, censored_fraction=float(censored.mean()),
                                        n_walks=n_walks))
     return out
@@ -286,7 +275,7 @@ def ball(g: Graph, x: int, r: int) -> tuple[np.ndarray, bool]:
 def escape_probability(g: Graph, component: np.ndarray, x: int, r: int, n_walks: int, rng) -> EscapeEstimate:
     """Monte Carlo estimate of the probability that a walk from x leaves
     the radius-r ball around x before returning to x. If the ball covers
-    the whole component the estimate is 0 with the boundary flag set."""
+    the whole component no walk can escape and the estimate is exactly 0."""
     if r < 1:
         raise ValueError("r must be at least 1")
     if n_walks < 1:
@@ -295,14 +284,14 @@ def escape_probability(g: Graph, component: np.ndarray, x: int, r: int, n_walks:
     pi_x = stationary_pi(g, component, x)
     members, covers = ball(g, x, r)
     if covers:
-        return EscapeEstimate(p_escape=aggregate([0.0] * n_walks), pi_x=pi_x, boundary_empty=True)
+        return EscapeEstimate(p_escape=aggregate([0.0] * n_walks), pi_x=pi_x)
     target = np.zeros(g.n, dtype=np.int64)
     target[members] = -1
     target[x] = 0
     # the ball has a boundary, so every walker stops almost surely
     _, ends = _killed_walks(g, np.full(n_walks, x, dtype=np.int64), target, None, gen,
                             start_counts=False)
-    return EscapeEstimate(p_escape=aggregate(ends != x), pi_x=pi_x, boundary_empty=False)
+    return EscapeEstimate(p_escape=aggregate(ends != x), pi_x=pi_x)
 
 
 def spectral_gap(g: Graph, component: np.ndarray) -> float:

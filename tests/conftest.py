@@ -81,6 +81,48 @@ def xi_fixed_point_oracle(rho: float, iters: int = 400) -> float:
     return x
 
 
+def components_oracle(k: int, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Canonical component labels and sizes of the k-vertex graph with
+    edges (a[i], b[i]), by breadth-first search from each unlabelled vertex
+    in increasing order. Components are found in order of their smallest
+    vertex, so a stable sort by decreasing size gives the canonical order."""
+    adj = [[] for _ in range(k)]
+    for u, v in zip(np.asarray(a).tolist(), np.asarray(b).tolist()):
+        adj[u].append(v)
+        adj[v].append(u)
+    found = [-1] * k
+    sizes = []
+    for s in range(k):
+        if found[s] >= 0:
+            continue
+        found[s] = len(sizes)
+        queue = deque([s])
+        size = 0
+        while queue:
+            v = queue.popleft()
+            size += 1
+            for w in adj[v]:
+                if found[w] < 0:
+                    found[w] = found[s]
+                    queue.append(w)
+        sizes.append(size)
+    order = sorted(range(len(sizes)), key=lambda c: -sizes[c])
+    rank = [0] * len(sizes)
+    for i, c in enumerate(order):
+        rank[c] = i
+    return (np.array([rank[c] for c in found], dtype=np.int64),
+            np.array([sizes[c] for c in order], dtype=np.int64))
+
+
+def induced_edges_oracle(g: Graph, vertices) -> tuple[list[int], list[int]]:
+    """Edges of g among ``vertices``, as endpoint lists of positions in it,
+    read through the adjacency lists."""
+    pos = {v: i for i, v in enumerate(np.asarray(vertices).tolist())}
+    pairs = [(i, pos[w]) for v, i in pos.items() for w in g.neighbors(v).tolist()
+             if w in pos and v < w]
+    return [p for p, _ in pairs], [q for _, q in pairs]
+
+
 def escape_probability_harmonic_oracle(tree, radius: int) -> float:
     """Exact escape probability of the root by first-step analysis: solve
     the dense linear system for h(v) = P_v[hit root before the depth

@@ -268,10 +268,14 @@ class TestOtherCommands:
         (["solve", "--rho", "2", "--trees", "0"], "n_trees must be positive"),
         (["capacity", "--rho", "2", "--u", "0.3", "--trees", "0"], "n_trees must be positive"),
         (["er-check", "--n", "0", "--rho", "2", "--u", "0", "--trials", "50"], "n must be at least 1"),
+        (["solve", "--rho", "40", "--trees", "100"],
+         "rho=40 is too large: xi = 1 - exp(-rho*xi) is within float resolution of 1"),
     ], ids=["size-check-trials-0", "simulate-trials-0", "simulate-trees-0", "hitting-vertices-0",
-            "hitting-vertices-negative", "solve-trees-0", "capacity-trees-0", "er-check-n-0"])
+            "hitting-vertices-negative", "solve-trees-0", "capacity-trees-0", "er-check-n-0",
+            "solve-rho-40"])
     def test_empty_request_exits_one(self, tmp_path, args, message):
-        # a request for no trials or no probed vertices has no result to report
+        # a request for no trials or no probed vertices has no result to
+        # report, and at rho = 40 xi is not distinguishable from 1
         res = run_cli(args + ["--seed", "1"], tmp_path)
         assert res.returncode == 1, res.stderr
         assert res.stderr.splitlines() == [f"error: {message}"]
@@ -341,6 +345,31 @@ class TestImportPath:
                              cwd=tmp_path, env=cli_env())
         assert res.returncode == 0, res.stderr
         assert res.stdout.split() == []
+
+    def test_commands_other_than_er_check_load_no_scipy(self, tmp_path):
+        # scipy serves only er-check's p-values and the spectral-gap oracle;
+        # the trials run in this interpreter, so no worker can hide an import
+        runs = [
+            ["solve", "--rho", "2", "--u", "0.3", "--trees", "2000", "--out", "solve.json"],
+            ["capacity", "--rho", "2", "--u", "0.3", "--trees", "2000", "--out", "cap.json"],
+            ["simulate", "--n", "2000", "--rho", "2", "--u-min", "0", "--u-max", "1",
+             "--u-steps", "3", "--trials", "2", "--trees", "2000", "--out", "sim.csv"],
+            ["size-check", "--n", "2000", "--rho", "2", "--u", "0.3", "--trials", "2",
+             "--out", "size.json"],
+            ["hitting", "--n", "2000", "--rho", "2", "--u", "0.3", "--vertices", "2",
+             "--walks", "100", "--out", "hit.json"],
+        ]
+        code = ("import sys, vacantlab.cli\n"
+                f"for argv in {runs!r}:\n"
+                "    assert vacantlab.cli.main(argv + ['--seed', '1']) == 0, argv\n"
+                "print(' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = cli_env()
+        env["VACANTLAB_THREADS"] = "1"
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             cwd=tmp_path, env=env)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == []
+        assert all((tmp_path / argv[-1]).exists() for argv in runs)
 
 
 def _load_tracer():

@@ -33,6 +33,13 @@ class TestSolveXi:
         with pytest.raises(ValueError, match="subcritical"):
             critical.solve_xi(0.5)
 
+    def test_rho_beyond_float_resolution_raises(self):
+        # above rho ~ 37.43 xi rounds to 1, so the bracket end 1 - 1e-16 is
+        # already past the root: the solver names rho and the cause
+        assert critical.solve_xi(37.4) < 1.0
+        with pytest.raises(ValueError, match=r"^rho=40 is too large: .* within float resolution of 1$"):
+            critical.solve_xi(40.0)
+
     def test_tolerance_below_float_resolution_raises(self):
         # next to xi(2) ~ 0.797 (float spacing ~1.1e-16) the float residual
         # never gets below 1e-20, so the solver must say so, not return.

@@ -4,15 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from conftest import build_graph, xi_fixed_point_oracle
+from conftest import build_graph, components_oracle, induced_edges_oracle, xi_fixed_point_oracle
 from vacantlab.engine import derive_stream
 from vacantlab.random_graph import (
     ComponentLabeling,
     components,
     giant_vertices,
+    graph_from_edges,
     sample_er,
     _pair_from_index,
 )
+from vacantlab.walk import vacant_components
 
 
 class TestPairIndex:
@@ -122,6 +124,55 @@ class TestComponents:
         empty = ComponentLabeling(np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
         with pytest.raises(ValueError, match="empty labeling"):
             giant_vertices(empty)
+
+
+def labeller_graph(case: str):
+    """The graphs the labeller is checked on: ER graphs around and above
+    criticality, and shapes that need many hook rounds or put the smallest
+    root far from a hub."""
+    gen = np.random.default_rng(81)
+    if case.startswith("er-"):
+        rho = float(case[3:])
+        return sample_er(20_000, rho, derive_stream(80, int(rho * 100)))
+    if case == "path":
+        perm = gen.permutation(5000)
+        return graph_from_edges(5000, perm[:-1], perm[1:])
+    if case == "star":
+        return graph_from_edges(1000, np.arange(999), np.full(999, 999))
+    if case == "binary-tree":
+        perm = gen.permutation(4095)
+        child = np.arange(1, 4095)
+        return graph_from_edges(4095, perm[child], perm[(child - 1) // 2])
+    size = {"empty": 0, "edgeless": 7}[case]
+    return graph_from_edges(size, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+
+
+LABELLER_CASES = ["er-1.0", "er-1.05", "er-2.0", "path", "star", "binary-tree", "empty", "edgeless"]
+
+
+def assert_matches_oracle(lab, oracle):
+    for got, want in zip((lab.label, lab.sizes), oracle):
+        assert got.dtype == want.dtype == np.int64
+        assert np.array_equal(got, want)
+
+
+class TestLabellerOracle:
+    """``components`` and ``vacant_components`` run one labeller; both are
+    checked against a breadth-first search over the adjacency lists."""
+
+    @pytest.mark.parametrize("case", LABELLER_CASES)
+    def test_components_match_oracle(self, case):
+        g = labeller_graph(case)
+        assert_matches_oracle(components(g), components_oracle(g.n, *induced_edges_oracle(g, range(g.n))))
+
+    @pytest.mark.parametrize("case", LABELLER_CASES)
+    def test_vacant_components_match_oracle(self, case):
+        g = labeller_graph(case)
+        gen = np.random.default_rng(82)
+        # all vertices in order, and a random subset in random order
+        for vac in (np.arange(g.n), gen.permutation(g.n)[: int(0.6 * g.n)]):
+            oracle = components_oracle(len(vac), *induced_edges_oracle(g, vac))
+            assert_matches_oracle(vacant_components(g, vac), oracle)
 
 
 class TestTypicality:
