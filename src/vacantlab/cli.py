@@ -261,8 +261,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--n must be at least 100")
     if args.command == "er-check" and args.trials < 50:
         parser.error("--trials must be at least 50")
-    if args.command == "simulate" and args.u is None and None in (args.u_min, args.u_max, args.u_steps):
-        parser.error("need --u or all of --u-min/--u-max/--u-steps")
+    if args.command == "simulate":
+        grid = [args.u_min, args.u_max, args.u_steps]
+        if grid.count(None) != (3 if args.u is not None else 0):
+            parser.error("need --u or all of --u-min/--u-max/--u-steps, not both")
     started = time.time()
     try:
         outputs = args.func(args)

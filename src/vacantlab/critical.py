@@ -75,12 +75,6 @@ def vacant_mean_degree(rho: float, xi: float, functional_value: float) -> float:
     return rho * xi * functional_value + rho * (1.0 - xi)
 
 
-def residual(u_functional_value: float, rho: float, xi: float) -> float:
-    """Vacant mean degree minus 1: positive below the critical intensity,
-    negative above it."""
-    return vacant_mean_degree(rho, xi, u_functional_value) - 1.0
-
-
 def solve_u_star(rho: float, functional, tol_u: float = 1e-6) -> UStarResult:
     """Critical intensity: the u at which rho*xi*F(u) + rho*(1-xi) = 1,
     where F(u) is the Monte Carlo capacity functional (an EstimateCI,
@@ -97,8 +91,10 @@ def solve_u_star(rho: float, functional, tol_u: float = 1e-6) -> UStarResult:
 
     def crossing(pick, hi: float) -> tuple[float, float]:
         """Root of the residual along ``pick`` of the functional, after
-        doubling ``hi`` until the residual there is not positive."""
-        res = lambda u: residual(pick(functional(u)), rho, xi)
+        doubling ``hi`` until the residual there is not positive. The
+        residual, vacant mean degree minus 1, is positive below the
+        critical intensity and negative above it."""
+        res = lambda u: vacant_mean_degree(rho, xi, pick(functional(u))) - 1.0
         while res(hi) > 0.0:
             hi *= 2.0
             if hi > U_MAX_CAP:

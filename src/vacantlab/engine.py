@@ -157,15 +157,16 @@ def trial_stream(root: RngStream, trial_index: int) -> RngStream:
 
 
 def _run_one(job):
-    trial_fn, config, stream, idx = job
+    trial_fn, stream, idx = job
     try:
-        return ("ok", idx, trial_fn(config, stream))
+        return ("ok", idx, trial_fn(stream))
     except Exception as exc:  # noqa: BLE001 - re-raised with index by caller
         return ("err", idx, exc)
 
 
-def run_trials(config, n_trials: int, trial_fn, *, root: RngStream) -> list:
-    """Run ``trial_fn(config, stream)`` for trials 0..n_trials-1.
+def run_trials(trial_fn, n_trials: int, *, root: RngStream) -> list:
+    """Run ``trial_fn(stream)`` for trials 0..n_trials-1; callers bind a
+    trial's parameters with ``functools.partial``.
 
     The output list is ordered by trial index and is identical for any
     degree of parallelism: trial i always receives the stream
@@ -175,12 +176,12 @@ def run_trials(config, n_trials: int, trial_fn, *, root: RngStream) -> list:
     """
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
-    jobs = [(trial_fn, config, trial_stream(root, i), i) for i in range(n_trials)]
+    jobs = [(trial_fn, trial_stream(root, i), i) for i in range(n_trials)]
     workers = worker_count(n_trials)
     parallel = workers > 1
     if parallel:
         try:
-            pickle.dumps((trial_fn, config))
+            pickle.dumps(trial_fn)
         except Exception:
             parallel = False  # unpicklable work runs serially; results are identical
     if parallel:

@@ -13,6 +13,7 @@ import csv
 import io
 import math
 from dataclasses import asdict, dataclass, fields
+from functools import partial
 
 import numpy as np
 
@@ -56,22 +57,15 @@ def sweep_records_to_csv(records: list[SweepRecord]) -> str:
     return buf.getvalue()
 
 
-@dataclass(frozen=True)
-class _SweepTrialConfig:
-    n: int
-    rho: float
-    t_by_u: tuple
-
-
-def _sweep_trial(cfg: _SweepTrialConfig, stream: RngStream) -> tuple:
+def _sweep_trial(n: int, rho: float, t_by_u: tuple, stream: RngStream) -> tuple:
     """One graph and one walk of its giant: the stream's seed, the giant's
     size and, per walk time, the vacant size and its two largest
     component sizes."""
-    g = sample_er(cfg.n, cfg.rho, stream.substream(0))
+    g = sample_er(n, rho, stream.substream(0))
     comp = giant_vertices(components(g))
-    times = walk.run_walk_first_visits(g, comp, max(cfg.t_by_u), stream.substream(1))
+    times = walk.run_walk_first_visits(g, comp, max(t_by_u), stream.substream(1))
     rows = []
-    for t in cfg.t_by_u:
+    for t in t_by_u:
         vac = walk.vacant_from_first_visits(comp, times, t)
         lab = walk.vacant_components(g, vac)
         c1 = int(lab.sizes[0]) if lab.n_components > 0 else 0
@@ -91,8 +85,7 @@ def sweep_vacant_structure(n: int, rho: float, u_grid, n_trials: int, root: RngS
         raise ValueError("u_grid must be nonnegative and ascending")
     xi = critical.solve_xi(rho)
     t_by_u = tuple(walk.walk_time(u, rho, xi, n) for u in u_grid)
-    cfg = _SweepTrialConfig(n=n, rho=rho, t_by_u=t_by_u)
-    per_trial = run_trials(cfg, n_trials, _sweep_trial, root=root)
+    per_trial = run_trials(partial(_sweep_trial, n, rho, t_by_u), n_trials, root=root)
     records = []
     for ui, (u, t) in enumerate(zip(u_grid, t_by_u)):
         f_u = caps.functional(u).mean
@@ -120,22 +113,14 @@ class SizeRelationReport:
     n_trials: int
 
 
-@dataclass(frozen=True)
-class _SizeTrialConfig:
-    n: int
-    rho: float
-    t: int
-    mode: str
-
-
-def _size_trial(cfg: _SizeTrialConfig, stream: RngStream) -> int:
-    if cfg.mode == "explore":
-        state = exploration.new_exploration(cfg.n, cfg.rho, stream.substream(0))
-        exploration.run_to(state, cfg.t)
+def _size_trial(n: int, rho: float, t: int, mode: str, stream: RngStream) -> int:
+    if mode == "explore":
+        state = exploration.new_exploration(n, rho, stream.substream(0))
+        exploration.run_to(state, t)
         return state.unvisited_count
-    g = sample_er(cfg.n, cfg.rho, stream.substream(0))
+    g = sample_er(n, rho, stream.substream(0))
     comp = giant_vertices(components(g))
-    vac = walk.run_walk_vacant(g, comp, cfg.t, stream.substream(1))
+    vac = walk.run_walk_vacant(g, comp, t, stream.substream(1))
     return vac.size
 
 
@@ -146,10 +131,9 @@ def size_relation_check(n: int, rho: float, u: float, n_trials: int,
     components, (1-xi)*n."""
     xi = critical.solve_xi(rho)
     t = walk.walk_time(u, rho, xi, n)
-    cfg_e = _SizeTrialConfig(n=n, rho=rho, t=t + exploration.default_burn_in(n), mode="explore")
-    cfg_w = _SizeTrialConfig(n=n, rho=rho, t=t, mode="walk")
-    vbars = run_trials(cfg_e, n_trials, _size_trial, root=root.substream(1))
-    vs = run_trials(cfg_w, n_trials, _size_trial, root=root.substream(2))
+    explore = partial(_size_trial, n, rho, t + exploration.default_burn_in(n), "explore")
+    vbars = run_trials(explore, n_trials, root=root.substream(1))
+    vs = run_trials(partial(_size_trial, n, rho, t, "walk"), n_trials, root=root.substream(2))
     mean_vbar = float(np.mean(vbars))
     mean_v = float(np.mean(vs))
     return SizeRelationReport(mean_vbar=mean_vbar, mean_v=mean_v,
@@ -234,8 +218,7 @@ def exploration_mean_degree_at(n: int, rho: float, u: float, n_trials: int,
     the intensity's time plus burn-in."""
     xi = critical.solve_xi(rho)
     t = walk.walk_time(u, rho, xi, n) + exploration.default_burn_in(n)
-    cfg = _SizeTrialConfig(n=n, rho=rho, t=t, mode="explore")
-    sizes = run_trials(cfg, n_trials, _size_trial, root=root)
+    sizes = run_trials(partial(_size_trial, n, rho, t, "explore"), n_trials, root=root)
     return float(np.mean(sizes)) * rho / n
 
 

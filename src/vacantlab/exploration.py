@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -214,18 +215,11 @@ def _binomial_pit(k: int, m: int, p: float, unif: float) -> float:
     return min(1.0, max(0.0, sf + unif * pmf))
 
 
-@dataclass(frozen=True)
-class _ErTrialConfig:
-    n: int
-    rho: float
-    t: int
-
-
-def _er_trial(cfg: _ErTrialConfig, stream: RngStream) -> tuple:
-    """One exploration to time cfg.t and a fresh draw of its vacant graph:
+def _er_trial(n: int, rho: float, t: int, stream: RngStream) -> tuple:
+    """One exploration to time t and a fresh draw of its vacant graph:
     the vacant vertex count k, the randomized PIT of the vacant graph's
     edge count and its degree histogram (both None when p = 0 or k < 2)."""
-    state = run_to(new_exploration(cfg.n, cfg.rho, stream.substream(0)), cfg.t)
+    state = run_to(new_exploration(n, rho, stream.substream(0)), t)
     k = state.unvisited_count
     if state.p <= 0.0 or k < 2:
         return k, None, None
@@ -272,7 +266,7 @@ def er_law_check(n: int, rho: float, u: float, n_trials: int, root: RngStream) -
     if rho > 1.0:
         t += walk.walk_time(u, rho, critical.solve_xi(rho), n)
     p = rho / n
-    trials = run_trials(_ErTrialConfig(n=n, rho=rho, t=t), n_trials, _er_trial, root=root)
+    trials = run_trials(partial(_er_trial, n, rho, t), n_trials, root=root)
     mean_fraction = float(np.mean([size for size, _, _ in trials])) / n
     mean_degree = mean_fraction * rho
     tested = [trial for trial in trials if trial[1] is not None]

@@ -169,15 +169,10 @@ def sample_gw_rejection(rho: float, depth_cap: int, rng, node_budget: int = DEFA
     gen = as_generator(rng)
     while True:
         tree = sample_gw(rho, depth_cap, gen, node_budget)
-        reached = int(tree.depth.max())
-        if target <= depth_cap:
-            if reached >= target:
-                return tree
-            continue
-        if reached < depth_cap:
-            continue
-        z = int(tree.generation_sizes()[depth_cap])
-        if generation_sizes(rho, target - depth_cap, gen, start=z)[-1] > 0:
+        # the chain draws nothing at depth 0 or from z = 0, so a horizon
+        # inside the tree costs no draws and tests z > 0
+        z = int(tree.generation_sizes()[min(target, depth_cap)])
+        if generation_sizes(rho, max(0, target - depth_cap), gen, start=z)[-1] > 0:
             return tree
 
 
@@ -248,8 +243,6 @@ class CapacitySamples:
     """Coupled capacity samples at the working radius and the shortened
     diagnostic radius, drawn from the same offspring randomness."""
 
-    rho: float
-    radius: int
     caps: np.ndarray
     diagnostic_radius: int | None
     caps_diagnostic: np.ndarray | None
@@ -322,7 +315,7 @@ def capacity_samples(rho: float, radius: int, n_samples: int, rng) -> CapacitySa
         caps[level] = np.zeros(m)
         _pool_step(pool_b, k_star, picks_b, caps[level])
         _pool_step(pool_d, k_doom, picks_d, caps[level])
-    return CapacitySamples(rho=rho, radius=radius, caps=caps[radius], diagnostic_radius=diag_radius,
+    return CapacitySamples(caps=caps[radius], diagnostic_radius=diag_radius,
                            caps_diagnostic=caps[diag_radius] if diag_radius else None)
 
 

@@ -5,7 +5,6 @@ connected-components labeller, for a graph and for its vacant sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -20,12 +19,18 @@ class Graph:
 
     ``indices[indptr[x]:indptr[x+1]]`` is the sorted neighbor list of x.
     Symmetric, loop-free, duplicate-free; sum of degrees equals 2m.
+    ``edge_arrays`` holds each edge once as read-only (u, v) arrays with
+    u < v, in lexicographic order.
     """
 
     n: int
     indptr: np.ndarray
     indices: np.ndarray
-    m: int
+    edge_arrays: tuple[np.ndarray, np.ndarray]
+
+    @property
+    def m(self) -> int:
+        return len(self.edge_arrays[0])
 
     def degrees(self) -> np.ndarray:
         return np.diff(self.indptr)
@@ -36,30 +41,26 @@ class Graph:
     def neighbors(self, x: int) -> np.ndarray:
         return self.indices[self.indptr[x] : self.indptr[x + 1]]
 
-    @cached_property
-    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Edges as read-only (u, v) arrays with u < v, built once per graph."""
-        owners = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees())
-        keep = owners < self.indices
-        edges = owners[keep], self.indices[keep].astype(np.int64)
-        for arr in edges:
-            arr.flags.writeable = False
-        return edges
-
 
 def graph_from_edges(n: int, u: np.ndarray, v: np.ndarray) -> Graph:
-    """Build a Graph from endpoint arrays of distinct undirected edges."""
+    """Build a Graph from endpoint arrays of distinct undirected edges,
+    in any order and orientation."""
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
-    rows = np.concatenate([u, v])
-    cols = np.concatenate([v, u])
-    order = np.lexsort((cols, rows))
-    rows = rows[order]
-    cols = cols[order]
-    deg = np.bincount(rows, minlength=n)
+    # the directed pairs as distinct keys row*n + col: one sort orders them
+    # by row, then col, which is the layout of both indices and edge_arrays
+    key = np.concatenate([u * n + v, v * n + u])
+    key.sort()
+    cols = key % n
+    # in place: a third 2m-sized array raised the peak RSS of walk trials
+    rows = np.floor_divide(key, n, out=key)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(deg, out=indptr[1:])
-    return Graph(n=n, indptr=indptr, indices=cols, m=len(u))
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    forward = rows < cols
+    edges = rows[forward], cols[forward]
+    for arr in edges:
+        arr.flags.writeable = False
+    return Graph(n=n, indptr=indptr, indices=cols, edge_arrays=edges)
 
 
 @dataclass(frozen=True)

@@ -114,6 +114,16 @@ def components_oracle(k: int, a, b) -> tuple[np.ndarray, np.ndarray]:
             np.array([sizes[c] for c in order], dtype=np.int64))
 
 
+def sorted_adjacency_oracle(n: int, u, v) -> list[list[int]]:
+    """Sorted neighbor list of every vertex of the n-vertex graph with
+    the undirected edges (u[i], v[i]), built pair by pair."""
+    adj = [[] for _ in range(n)]
+    for a, b in zip(np.asarray(u).tolist(), np.asarray(v).tolist()):
+        adj[a].append(b)
+        adj[b].append(a)
+    return [sorted(nbrs) for nbrs in adj]
+
+
 def induced_edges_oracle(g: Graph, vertices) -> tuple[list[int], list[int]]:
     """Edges of g among ``vertices``, as endpoint lists of positions in it,
     read through the adjacency lists."""

@@ -314,7 +314,9 @@ class TestOtherCommands:
         ["--u-min", "0", "--u-steps", "3"],
         ["--u-max", "1", "--u-steps", "3"],
         ["--u-min", "0", "--u-max", "1"],
-    ], ids=["none", "no-u-max", "no-u-min", "no-u-steps"])
+        ["--u", "0.3", "--u-min", "0", "--u-max", "1", "--u-steps", "5"],
+        ["--u", "0.3", "--u-steps", "5"],
+    ], ids=["none", "no-u-max", "no-u-min", "no-u-steps", "u-and-grid", "u-and-u-steps"])
     def test_incomplete_u_grid_is_usage_error(self, tmp_path, grid):
         res = run_cli(["simulate", "--n", "200", "--rho", "2", "--trials", "1", *grid,
                        "--seed", "1"], tmp_path)

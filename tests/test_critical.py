@@ -94,7 +94,8 @@ class TestSolveUStar:
         caps = gw.capacity_samples(2.0, 20, 5_000, derive_stream(56, 0))
         xi = critical.solve_xi(2.0)
         assert caps.functional(0.0).mean == 1.0
-        assert critical.residual(caps.functional(0.0).mean, 2.0, xi) == pytest.approx(1.0, abs=1e-12)
+        residual = critical.vacant_mean_degree(2.0, xi, caps.functional(0.0).mean) - 1.0
+        assert residual == pytest.approx(1.0, abs=1e-12)
 
     def test_reproducible_across_seeds(self):
         results = []

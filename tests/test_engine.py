@@ -1,5 +1,6 @@
 import math
 import pickle
+from functools import partial
 
 import numpy as np
 import pytest
@@ -60,15 +61,15 @@ class TestStreams:
             derive_stream(0, 1 << 64)
 
 
-def _identity_trial(config, stream):
+def _identity_trial(stream):
     return stream.stream_id
 
 
-def _sum_trial(config, stream):
-    return float(stream.generator().random(100).sum())
+def _sum_trial(size, stream):
+    return float(stream.generator().random(size).sum())
 
 
-def _failing_trial(config, stream):
+def _failing_trial(stream):
     if stream.stream_id in (3, 5):
         raise RuntimeError(f"boom {stream.stream_id}")
     return stream.stream_id
@@ -79,24 +80,24 @@ class TestRunTrials:
         # an empty request has no result to report
         for n_trials in (0, -1):
             with pytest.raises(ValueError, match="n_trials must be positive"):
-                run_trials(None, n_trials, _identity_trial, root=derive_stream(1, 0))
+                run_trials(_identity_trial, n_trials, root=derive_stream(1, 0))
 
     def test_identity_returns_indices(self):
-        out = run_trials(None, 8, _identity_trial, root=derive_stream(1, 0))
+        out = run_trials(_identity_trial, 8, root=derive_stream(1, 0))
         assert out == list(range(8))
 
     def test_worker_count_invariance(self, monkeypatch):
         root = derive_stream(11, 2)
         monkeypatch.setenv(engine.THREADS_ENV_VAR, "1")
-        serial = run_trials({"k": 1}, 6, _sum_trial, root=root)
+        serial = run_trials(partial(_sum_trial, 100), 6, root=root)
         monkeypatch.setenv(engine.THREADS_ENV_VAR, "4")
-        parallel = run_trials({"k": 1}, 6, _sum_trial, root=root)
+        parallel = run_trials(partial(_sum_trial, 100), 6, root=root)
         assert pickle.dumps(serial) == pickle.dumps(parallel)
 
     def test_first_error_index_attached(self, monkeypatch):
         monkeypatch.setenv(engine.THREADS_ENV_VAR, "1")
         with pytest.raises(TrialError) as err:
-            run_trials(None, 8, _failing_trial, root=derive_stream(1, 0))
+            run_trials(_failing_trial, 8, root=derive_stream(1, 0))
         assert err.value.trial_index == 3
 
     @pytest.mark.parametrize("value", ["0", "abc"])

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -318,7 +319,10 @@ class TestSamplerGolden:
         (sample_gw, "fc54c2de6e02896f8d62da3e013507b579245a1c2285ae85dfedcca0fe8bd5bb"),
         (sample_gw_conditioned, "3320adf073c37ac66173f66aaf4c6466836c147742362d609fb3e0e28b0e840d"),
         (sample_gw_rejection, "9e7939abc007bbfdeeff94b8a615a9786054e721c2460fcaf704703f3d0163c9"),
-    ], ids=["sample_gw", "sample_gw_conditioned", "sample_gw_rejection"])
+        (partial(sample_gw_rejection, survival_depth=30),
+         "8dd760e02b8cec9790ef1014906af6fb08c5f8e758a7d34a8996036232555d4e"),
+    ], ids=["sample_gw", "sample_gw_conditioned", "sample_gw_rejection",
+            "sample_gw_rejection-deep-horizon"])
     def test_first_trees_unchanged(self, sampler, digest):
         gen = derive_stream(2024, 0).generator()
         h = hashlib.sha256()

@@ -1,10 +1,17 @@
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from conftest import build_graph, components_oracle, induced_edges_oracle, xi_fixed_point_oracle
+from conftest import (
+    build_graph,
+    components_oracle,
+    induced_edges_oracle,
+    sorted_adjacency_oracle,
+    xi_fixed_point_oracle,
+)
 from vacantlab.engine import derive_stream
 from vacantlab.random_graph import (
     ComponentLabeling,
@@ -92,6 +99,42 @@ class TestSampleEr:
             for mask in range(len(counts))
         ])
         assert chisq_pvalue_counts_vs_probs(counts, probs) > 0.001
+
+
+class TestGraphBuild:
+    @pytest.mark.parametrize("stream_id, n, rho, digest", [
+        (0, 1, 0.0, "0a4e5a289e13825735fd1eeb3912d520b47516acfbf5ba5fa14a3406c2dad78c"),
+        (1, 2, 2.0, "fffca6158bc0207dbf6ae430d7c830e43ee95bf4283e66bc1a425c4e45c96d50"),
+        (2, 200, 2.0, "9c89451ef93dde951627e99ca93d30a67710e010a760bc30f7003be940c38e83"),
+        (3, 100_000, 2.0, "0b12007681898508962435f0d53087400d7e79ffb3d65a196623aba247289115"),
+    ])
+    def test_layout_unchanged(self, stream_id, n, rho, digest):
+        # walks draw a neighbor by its position in the list, so the layout
+        # is part of every walk's replay
+        g = sample_er(n, rho, derive_stream(2024, stream_id))
+        h = hashlib.sha256()
+        for arr in (g.indptr, g.indices, *g.edge_arrays):
+            h.update(arr.dtype.str.encode())
+            h.update(arr.tobytes())
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("n", [1, 2, 30, 2000])
+    def test_matches_adjacency_oracle(self, n):
+        gen = np.random.default_rng(n)
+        g0 = sample_er(n, min(4.0, float(n)), derive_stream(90, n))
+        u, v = g0.edge_arrays
+        order = gen.permutation(len(u))
+        flip = gen.random(len(u)) < 0.5
+        u, v = np.where(flip, v, u)[order], np.where(flip, u, v)[order]
+        g = graph_from_edges(n, u, v)
+        adj = sorted_adjacency_oracle(n, u, v)
+        assert g.indptr.tolist() == [0, *itertools.accumulate(len(a) for a in adj)]
+        assert g.indices.tolist() == [w for a in adj for w in a]
+        a, b = g.edge_arrays
+        assert g.m == len(u)
+        assert list(zip(a.tolist(), b.tolist())) == sorted(
+            (x, w) for x in range(n) for w in adj[x] if x < w)
+        assert not a.flags.writeable and not b.flags.writeable
 
 
 class TestComponents:
