@@ -16,7 +16,7 @@ Per checkout the file records:
 - the wall time and peak RSS of ``import vacantlab`` in a fresh interpreter,
   median over several runs;
 - with ``--tier1``, the wall time, exit code and summary line of the Tier-1
-  suite.
+  suite, and its ``--durations`` report of the slowest tests.
 
 The files are written to the root of the repository holding this script.
 Standard library only.
@@ -96,14 +96,29 @@ def perfbench(root: Path, workload: str) -> dict:
     return {"info": json.loads(lines[-2]), "result": json.loads(lines[-1])}
 
 
+def durations(lines: list[str]) -> list[str]:
+    """The lines of pytest's ``slowest N durations`` section, one per test
+    phase, such as ``23.91s call     tests/test_acceptance.py::test_04...``."""
+    for i, line in enumerate(lines):
+        if line.startswith("=") and "slowest" in line and "durations" in line:
+            section = []
+            for entry in lines[i + 1:]:
+                if not entry.strip() or entry.startswith("="):
+                    break
+                section.append(entry)
+            return section
+    return []
+
+
 def tier1(root: Path) -> dict:
     cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
-           "-p", "no:cacheprovider"]
+           "-p", "no:cacheprovider", "--durations=15"]
     t0 = time.perf_counter()
     res = subprocess.run(cmd, cwd=root, env=env_for(root), capture_output=True, text=True)
     wall = time.perf_counter() - t0
-    tail = res.stdout.strip().splitlines()
-    return {"wall_s": wall, "exit_code": res.returncode, "summary": tail[-1] if tail else ""}
+    lines = res.stdout.strip().splitlines()
+    return {"wall_s": wall, "exit_code": res.returncode, "summary": lines[-1] if lines else "",
+            "durations": durations(lines)}
 
 
 def main() -> int:

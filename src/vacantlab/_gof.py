@@ -5,21 +5,23 @@ from __future__ import annotations
 
 import numpy as np
 
+MIN_EXPECTED = 5.0
 
-def _merge_small_bins(expected: np.ndarray, *counts: np.ndarray, min_expected: float = 5.0):
+
+def _merge_small_bins(expected: np.ndarray, *counts: np.ndarray):
     """Merge adjacent bins from the right until every expected count is at
-    least ``min_expected``; returns (expected, merged counts...)."""
+    least ``MIN_EXPECTED``; returns (expected, merged counts...)."""
     exp = list(expected.astype(float))
     obs = [list(c.astype(float)) for c in counts]
     i = len(exp) - 1
     while i > 0:
-        if exp[i] < min_expected:
+        if exp[i] < MIN_EXPECTED:
             exp[i - 1] += exp.pop(i)
             for o in obs:
                 o[i - 1] += o.pop(i)
         i -= 1
     # leftmost bin may still be small: merge into its neighbor
-    while len(exp) > 1 and exp[0] < min_expected:
+    while len(exp) > 1 and exp[0] < MIN_EXPECTED:
         exp[1] += exp.pop(0)
         for o in obs:
             o[1] += o.pop(0)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 DEFAULT_TOL = 1e-10
 # solve_u_star doubles its upper bracket up to this intensity before giving up.
 U_MAX_CAP = 1024.0
+MAX_BISECT_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -28,15 +29,15 @@ class UStarResult:
     ci_high: float
 
 
-def _bisect(f, lo: float, hi: float, tol: float, max_iter: int = 200) -> float:
+def _bisect(f, lo: float, hi: float, tol: float) -> float:
     """Root of f on [lo, hi] assuming f(lo) > 0 > f(hi), to bracket width
-    and residual at most tol. Raises when ``max_iter`` halvings do not get
-    there (for instance when tol is below the float resolution of the root)."""
+    and residual at most tol. Raises when ``MAX_BISECT_ITER`` halvings do not
+    get there (for instance when tol is below the float resolution of the root)."""
     flo = f(lo)
     fhi = f(hi)
     if flo < 0 or fhi > 0:
         raise ValueError(f"bisection bracket invalid: f({lo})={flo}, f({hi})={fhi}")
-    for _ in range(max_iter):
+    for _ in range(MAX_BISECT_ITER):
         mid = 0.5 * (lo + hi)
         fm = f(mid)
         if fm > 0:
@@ -45,7 +46,7 @@ def _bisect(f, lo: float, hi: float, tol: float, max_iter: int = 200) -> float:
             hi = mid
         if hi - lo <= tol and abs(fm) <= tol:
             return 0.5 * (lo + hi)
-    raise ValueError(f"bisection did not reach tol={tol:g} within max_iter={max_iter} "
+    raise ValueError(f"bisection did not reach tol={tol:g} within max_iter={MAX_BISECT_ITER} "
                      f"iterations (bracket [{lo!r}, {hi!r}])")
 
 

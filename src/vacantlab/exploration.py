@@ -12,12 +12,16 @@ exploration skips over the unvisited array with geometric gaps, so one
 step costs O(newly opened edges) amortized. A vertex explores all its
 pending edges the first time it becomes current, and every visited vertex
 has been current, so pending edges at the current vertex are exactly
-those toward currently-unvisited vertices.
+those toward currently-unvisited vertices. Edges are sampled only there,
+so every explored edge of an unvisited vertex leads to a visited one: the
+frontier is the set of unvisited vertices with an explored edge, and no
+flag array is kept, only its size.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -28,30 +32,17 @@ from ._gof import chisq_pvalue_counts_vs_probs
 from .engine import RngStream, as_generator, ks_uniform_pvalue, run_trials
 from .random_graph import sample_er
 
-# _Uniforms draws blocks of 16, 32, ... uniforms up to _BLOCK, so a short
+# _uniforms draws blocks of 16, 32, ... uniforms up to _BLOCK, so a short
 # exploration does not pay for thousands of draws it never uses.
 _BLOCK = 1 << 13
 
 
-class _Uniforms:
-    """Buffered scalar uniforms from a numpy generator."""
-
-    __slots__ = ("_gen", "_buf", "_pos", "_size")
-
-    def __init__(self, gen: np.random.Generator):
-        self._gen = gen
-        self._buf: list[float] = []
-        self._pos = 0
-        self._size = 16
-
-    def next(self) -> float:
-        if self._pos == len(self._buf):
-            self._buf = self._gen.random(self._size).tolist()
-            self._size = min(2 * self._size, _BLOCK)
-            self._pos = 0
-        v = self._buf[self._pos]
-        self._pos += 1
-        return v
+def _uniforms(gen: np.random.Generator) -> Iterator[float]:
+    """Scalar uniforms from a numpy generator, drawn a block at a time."""
+    size = 16
+    while True:
+        yield from gen.random(size).tolist()
+        size = min(2 * size, _BLOCK)
 
 
 @dataclass
@@ -67,16 +58,18 @@ class ExplorationState:
     explored_adjacency: list
     frontier_count: int
     jumps: int
-    covered: bool
     _unvisited: list = field(repr=False)
     _position: list = field(repr=False)
-    _frontier_flag: list = field(repr=False)
-    _draw: _Uniforms = field(repr=False)
+    _draw: Iterator[float] = field(repr=False)
     _log1mp: float = field(repr=False, default=0.0)
 
     @property
     def unvisited_count(self) -> int:
         return len(self._unvisited)
+
+    @property
+    def covered(self) -> bool:
+        return not self._unvisited
 
 
 def _visit(state: ExplorationState, v: int) -> None:
@@ -90,32 +83,29 @@ def _visit(state: ExplorationState, v: int) -> None:
     state._position[last] = pos
     unvisited.pop()
     state._position[v] = -1
-    flags = state._frontier_flag
-    if flags[v]:
-        flags[v] = False
+    adj = state.explored_adjacency
+    if adj[v]:  # v was on the frontier
         state.frontier_count -= 1
     count = len(unvisited)
     if count == 0 or state.p <= 0.0:
         return
-    adj = state.explored_adjacency
     if state.p >= 1.0:
         hits = list(unvisited)
     else:
         hits = []
         log1mp = state._log1mp
-        draw = state._draw.next
+        draw = state._draw
         i = -1
         while True:
-            i += 1 + int(math.log(1.0 - draw()) / log1mp)
+            i += 1 + int(math.log(1.0 - next(draw)) / log1mp)
             if i >= count:
                 break
             hits.append(unvisited[i])
+    adj[v].extend(hits)
     for w in hits:
-        adj[v].append(w)
-        adj[w].append(v)
-        if not flags[w]:
-            flags[w] = True
+        if not adj[w]:  # w joins the frontier
             state.frontier_count += 1
+        adj[w].append(v)
 
 
 def new_exploration(n: int, rho: float, rng) -> ExplorationState:
@@ -129,7 +119,6 @@ def new_exploration(n: int, rho: float, rng) -> ExplorationState:
         raise ValueError("edge probability exceeds 1")
     gen = as_generator(rng)
     p = rho / n
-    draw = _Uniforms(gen)
     start = int(gen.integers(0, n))
     # the start goes last, so removing it leaves the others in vertex order
     unvisited = list(range(start)) + list(range(start + 1, n)) + [start]
@@ -144,11 +133,9 @@ def new_exploration(n: int, rho: float, rng) -> ExplorationState:
         explored_adjacency=[[] for _ in range(n)],
         frontier_count=0,
         jumps=0,
-        covered=(n == 1),
         _unvisited=unvisited,
         _position=position,
-        _frontier_flag=[False] * n,
-        _draw=draw,
+        _draw=_uniforms(gen),
         _log1mp=math.log1p(-p) if 0.0 < p < 1.0 else 0.0,
     )
     _visit(state, start)
@@ -164,18 +151,15 @@ def advance(state: ExplorationState) -> bool:
     if state.covered:
         return False
     neighbors = state.explored_adjacency[state.current]
-    draw = state._draw
     if neighbors and state.frontier_count > 0:
-        nxt = neighbors[int(draw.next() * len(neighbors))]
+        nxt = neighbors[int(next(state._draw) * len(neighbors))]
     else:
-        nxt = int(draw.next() * state.n)
+        nxt = int(next(state._draw) * state.n)
         state.jumps += 1
     if state._position[nxt] >= 0:
         _visit(state, nxt)
     state.current = nxt
     state.step += 1
-    if len(state._unvisited) == 0:
-        state.covered = True
     return True
 
 

@@ -244,7 +244,6 @@ class CapacitySamples:
     diagnostic radius, drawn from the same offspring randomness."""
 
     caps: np.ndarray
-    diagnostic_radius: int | None
     caps_diagnostic: np.ndarray | None
 
     def functional(self, u: float, diagnostic: bool = False) -> EstimateCI:
@@ -315,8 +314,7 @@ def capacity_samples(rho: float, radius: int, n_samples: int, rng) -> CapacitySa
         caps[level] = np.zeros(m)
         _pool_step(pool_b, k_star, picks_b, caps[level])
         _pool_step(pool_d, k_doom, picks_d, caps[level])
-    return CapacitySamples(caps=caps[radius], diagnostic_radius=diag_radius,
-                           caps_diagnostic=caps[diag_radius] if diag_radius else None)
+    return CapacitySamples(caps=caps[radius], caps_diagnostic=caps[diag_radius] if diag_radius else None)
 
 
 def capacity_samples_direct(rho: float, radius: int, n_samples: int, rng,

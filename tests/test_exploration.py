@@ -165,6 +165,27 @@ class TestExplorationGolden:
         assert h.hexdigest() == digest
 
 
+class TestGeneratorConsumption:
+    """The generator's position after ``run_to`` is pinned: an exploration
+    on a live generator must draw the same uniforms, block by block, when
+    the way it buffers them changes."""
+
+    @pytest.mark.parametrize("n, rho, seed, t, digest", [
+        (1, 0.0, 1, 5, "3db849997dc95ed2835cdd3792eb2e15c42433ccb72d626ca483c6ddfb76d245"),
+        (2, 2.0, 3, 5, "2a50fe3f6982ba41ba84346f63f5a02651b3cdbd635c5396971b98516785c7e0"),
+        (400, 0.8, 4, 600, "ab7449556ac56b8d8927cab6bc5d3c3cc725cba24715f27cbf4ff547f7dde4fd"),
+        (2000, 2.0, 6, 1500, "da9cff84addc3f4309dac010ad923b091dd638527f35183494ef080cb9c5bb6a"),
+        (60, 3.0, 7, 10_000, "a0019f98fd331ad01202e6e310c7397f0a72e5f146ef73bd73070364573aedde"),
+    ], ids=["n1", "n2-p1", "subcritical", "rho2", "covered"])
+    def test_draws_unchanged(self, n, rho, seed, t, digest):
+        gen = derive_stream(seed, 0).generator()
+        state = run_to(new_exploration(n, rho, gen), t)
+        h = hashlib.sha256(repr((state.step, state.current, state.jumps,
+                                 state.frontier_count)).encode())
+        h.update(gen.random(4).tobytes())
+        assert h.hexdigest() == digest
+
+
 class TestAnnealedEquivalence:
     def test_joint_law_matches_sample_then_walk(self):
         # (final graph, trajectory prefix) under the exploring process vs

@@ -264,7 +264,7 @@ class TestCapacitySamplesGolden:
     ])
     def test_samples_unchanged(self, radius, diagnostic_radius, digest):
         s = capacity_samples(2.0, radius, 2000, derive_stream(71, 0))
-        assert s.diagnostic_radius == diagnostic_radius
+        assert (s.caps_diagnostic is None) == (diagnostic_radius is None)
         h = hashlib.sha256(s.caps.tobytes())
         if s.caps_diagnostic is not None:
             h.update(s.caps_diagnostic.tobytes())
