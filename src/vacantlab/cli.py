@@ -10,12 +10,17 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import platform
+import resource
 import sys
 import time
 from dataclasses import asdict
+from functools import partial
+
+import numpy as np
 
 from . import __version__, critical, experiments, exploration, gw
-from .engine import RngStream, TrialError, derive_stream
+from .engine import RngStream, TrialError, derive_stream, worker_cap
 
 
 def _json(obj) -> str:
@@ -29,6 +34,35 @@ def _emit(text: str, out_path: str | None) -> list[str]:
         return [out_path]
     sys.stdout.write(text)
     return []
+
+
+def _peak_rss_mb(who: int) -> float:
+    # ru_maxrss counts bytes on macOS and kilobytes elsewhere
+    rss = resource.getrusage(who).ru_maxrss
+    return round(rss / (2**20 if sys.platform == "darwin" else 2**10), 1)
+
+
+def _environment() -> dict:
+    """What a replay depends on besides ``argv`` (the streams come from
+    numpy's SeedSequence and Philox), and what the run cost in memory.
+    scipy's version is read from its metadata, so scipy is not imported."""
+    # read before importlib.metadata adds its own modules to the process
+    rss_self = _peak_rss_mb(resource.RUSAGE_SELF)
+    rss_workers = _peak_rss_mb(resource.RUSAGE_CHILDREN)
+    from importlib.metadata import version
+
+    try:
+        cap = worker_cap()
+    except ValueError:
+        cap = None  # an invalid cap stops only commands that run trials
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": version("scipy"),
+        "worker_cap": cap,
+        "peak_rss_mb": rss_self,
+        "workers_peak_rss_mb": rss_workers,
+    }
 
 
 def _write_manifest(command: str, args: argparse.Namespace, argv: list[str],
@@ -46,6 +80,7 @@ def _write_manifest(command: str, args: argparse.Namespace, argv: list[str],
         "version": __version__,
         "duration_s": round(time.time() - started, 3),
         "outputs": outputs,
+        "environment": _environment(),
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(_json(manifest))
@@ -98,17 +133,19 @@ def _parse_u_grid(args) -> list[float]:
 
 def _cmd_simulate(args) -> list[str]:
     grid = _parse_u_grid(args)
-    # the sweep's checks, made before its tree samples are drawn
-    if grid[0] < 0:
-        raise ValueError("u_grid must be nonnegative and ascending")
-    if args.trials < 1:
-        raise ValueError("n_trials must be positive")
+    # capacity_samples runs only once the sweep's workers have started, so
+    # its checks and the trials' edge-probability check come first; the
+    # sweep checks the grid and the trial count before it starts anything
+    if args.rho <= 1.0:
+        raise ValueError("supercritical rho required")
+    if args.radius < 0:
+        raise ValueError("radius must be nonnegative")
     if args.trees < 1:
         raise ValueError("n_trees must be positive")
     if args.rho > args.n:
         raise ValueError("edge probability exceeds 1")
     root = derive_stream(args.seed, 0)
-    caps = gw.capacity_samples(args.rho, args.radius, args.trees, root.substream(901))
+    caps = partial(gw.capacity_samples, args.rho, args.radius, args.trees, root.substream(901))
     records = experiments.sweep_vacant_structure(args.n, args.rho, grid, args.trials, root, caps=caps)
     if args.format == "csv":
         return _emit(experiments.sweep_records_to_csv(records), args.out)

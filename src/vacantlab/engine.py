@@ -6,6 +6,10 @@ turned into a private counter-based generator (Philox, keyed through
 numpy's SeedSequence entropy mixing) at the point of use, so independent
 trials never share generator state and any trial can be replayed from its
 stream alone.
+
+Trials run in a process pool when more than one worker is allowed; the
+caller may hand ``run_trials`` one piece of its own serial work, which runs
+in the calling process while the workers run the trials.
 """
 
 from __future__ import annotations
@@ -138,16 +142,21 @@ def ks_uniform_pvalue(samples) -> float:
     return float(kolmogorov(math.sqrt(n) * d))
 
 
-def worker_count(n_trials: int) -> int:
-    """Effective worker count: capped by VACANTLAB_THREADS when set,
-    otherwise all available cores."""
+def worker_cap() -> int:
+    """Most workers a run may use: VACANTLAB_THREADS when set, otherwise
+    all available cores."""
     env = os.environ.get(THREADS_ENV_VAR)
-    cap = os.cpu_count() or 1
-    if env is not None:
-        cap = int(env) if env.strip().isdecimal() else 0
-        if cap < 1:
-            raise ValueError(f"{THREADS_ENV_VAR} must be a positive integer, got {env!r}")
-    return max(1, min(cap, n_trials))
+    if env is None:
+        return os.cpu_count() or 1
+    cap = int(env) if env.strip().isdecimal() else 0
+    if cap < 1:
+        raise ValueError(f"{THREADS_ENV_VAR} must be a positive integer, got {env!r}")
+    return cap
+
+
+def worker_count(n_trials: int) -> int:
+    """Effective worker count: the worker cap, and no more than the trials."""
+    return max(1, min(worker_cap(), n_trials))
 
 
 def trial_stream(root: RngStream, trial_index: int) -> RngStream:
@@ -164,7 +173,7 @@ def _run_one(job):
         return ("err", idx, exc)
 
 
-def run_trials(trial_fn, n_trials: int, *, root: RngStream) -> list:
+def run_trials(trial_fn, n_trials: int, *, root: RngStream, meanwhile=None):
     """Run ``trial_fn(stream)`` for trials 0..n_trials-1; callers bind a
     trial's parameters with ``functools.partial``.
 
@@ -173,6 +182,14 @@ def run_trials(trial_fn, n_trials: int, *, root: RngStream) -> list:
     (entropy64(root), i) regardless of scheduling. On failure the error of
     the smallest failing trial index is raised as TrialError. Raises
     ValueError for n_trials < 1: an empty request has no result to report.
+
+    ``meanwhile``, a zero-argument callable, is the caller's serial work
+    that needs no trial result: with it the call returns ``(results,
+    meanwhile())``. ``meanwhile`` always runs in the calling process. With
+    a pool it runs once every trial is submitted, so the workers already
+    run; serially it runs before the first trial. If it raises, trials not
+    yet started are cancelled, the pool is shut down and the exception
+    propagates unchanged.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
@@ -184,10 +201,20 @@ def run_trials(trial_fn, n_trials: int, *, root: RngStream) -> list:
             pickle.dumps(trial_fn)
         except Exception:
             parallel = False  # unpicklable work runs serially; results are identical
+    side = None
     if parallel:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_one, jobs, chunksize=max(1, n_trials // (4 * workers))))
+            pending = pool.map(_run_one, jobs, chunksize=max(1, n_trials // (4 * workers)))
+            if meanwhile is not None:
+                try:
+                    side = meanwhile()
+                except BaseException:
+                    pool.shutdown(cancel_futures=True)
+                    raise
+            outcomes = list(pending)
     else:
+        if meanwhile is not None:
+            side = meanwhile()
         outcomes = [_run_one(job) for job in jobs]
     results: list = [None] * n_trials
     first_err: tuple[int, Exception] | None = None
@@ -199,4 +226,4 @@ def run_trials(trial_fn, n_trials: int, *, root: RngStream) -> list:
     if first_err is not None:
         idx, exc = first_err
         raise TrialError(idx, repr(exc)) from exc
-    return results
+    return results if meanwhile is None else (results, side)

@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from . import critical, exploration, gw, walk
+from . import critical, exploration, walk
 from .engine import RngStream, as_generator, run_trials
 from .random_graph import components, giant_vertices, sample_er
 
@@ -75,20 +75,26 @@ def _sweep_trial(n: int, rho: float, t_by_u: tuple, stream: RngStream) -> tuple:
 
 
 def sweep_vacant_structure(n: int, rho: float, u_grid, n_trials: int, root: RngStream,
-                           *, caps: gw.CapacitySamples) -> list[SweepRecord]:
+                           *, caps) -> list[SweepRecord]:
     """Per (u, trial): sample a graph, walk its giant component to the
     intensity's time, and record the vacant component structure next to
-    the tree-model predictions (functional evaluated on the one given
-    capacity sample set, so every u sees common random numbers)."""
+    the tree-model predictions (functional evaluated on one capacity
+    sample set, so every u sees common random numbers).
+
+    ``caps`` is a zero-argument callable returning that sample set. It is
+    called in this process after the sweep's own checks, so a rejected
+    request draws no sample, and while the trial workers run (with one
+    worker, before the trials)."""
     u_grid = [float(u) for u in u_grid]
     if any(u < 0 for u in u_grid) or sorted(u_grid) != u_grid:
         raise ValueError("u_grid must be nonnegative and ascending")
     xi = critical.solve_xi(rho)
     t_by_u = tuple(walk.walk_time(u, rho, xi, n) for u in u_grid)
-    per_trial = run_trials(partial(_sweep_trial, n, rho, t_by_u), n_trials, root=root)
+    per_trial, samples = run_trials(partial(_sweep_trial, n, rho, t_by_u), n_trials,
+                                    root=root, meanwhile=caps)
     records = []
     for ui, (u, t) in enumerate(zip(u_grid, t_by_u)):
-        f_u = caps.functional(u).mean
+        f_u = samples.functional(u).mean
         zeta = critical.solve_zeta(u, rho, f_u)
         for trial, (seed, giant_size, rows) in enumerate(per_trial):
             vac_size, c1, c2 = rows[ui]
@@ -129,6 +135,10 @@ def size_relation_check(n: int, rho: float, u: float, n_trials: int,
     """Independent exploration and walk runs at the same intensity; their
     mean vacant sizes should differ by the mass of the non-giant
     components, (1-xi)*n."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if rho > n:
+        raise ValueError("edge probability exceeds 1")
     xi = critical.solve_xi(rho)
     t = walk.walk_time(u, rho, xi, n)
     explore = partial(_size_trial, n, rho, t + exploration.default_burn_in(n), "explore")

@@ -238,6 +238,10 @@ def er_law_check(n: int, rho: float, u: float, n_trials: int, root: RngStream) -
     """
     if n < 1:
         raise ValueError("n must be at least 1")
+    if rho < 0:
+        raise ValueError("rho must be nonnegative")
+    if rho > n:
+        raise ValueError("edge probability exceeds 1")
     if n_trials < 50:
         raise ValueError("need at least 50 trials")
     if u < 0:

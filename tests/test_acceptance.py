@@ -206,7 +206,7 @@ def test_08a_supercritical_giant_fraction(caps_rho2, u_star):
     u = 0.5 * u_star.u_star
     xi = critical.solve_xi(RHO)
     t0 = time.perf_counter()
-    records = experiments.sweep_vacant_structure(n, RHO, [u], 10, stream(8), caps=caps_rho2)
+    records = experiments.sweep_vacant_structure(n, RHO, [u], 10, stream(8), caps=lambda: caps_rho2)
     elapsed = time.perf_counter() - t0
     mean_c1 = float(np.mean([r.c1_vacant / n for r in records]))
     zeta = records[0].zeta_predicted
@@ -224,7 +224,7 @@ def test_08b_supercritical_second_component(caps_rho2, u_star):
     n = 100_000
     u = 0.5 * u_star.u_star
     t0 = time.perf_counter()
-    records = experiments.sweep_vacant_structure(n, RHO, [u], 10, stream(8), caps=caps_rho2)
+    records = experiments.sweep_vacant_structure(n, RHO, [u], 10, stream(8), caps=lambda: caps_rho2)
     elapsed = time.perf_counter() - t0
     worst = max(r.c2_vacant / n for r in records)
     ok = worst <= 0.01 and elapsed < 600.0
@@ -237,7 +237,7 @@ def test_09_subcritical_all_small(caps_rho2, u_star):
     t0 = time.perf_counter()
     ratios = {}
     for n in (50_000, 100_000, 200_000):
-        records = experiments.sweep_vacant_structure(n, RHO, [u], 5, stream(9, n), caps=caps_rho2)
+        records = experiments.sweep_vacant_structure(n, RHO, [u], 5, stream(9, n), caps=lambda: caps_rho2)
         ratios[n] = float(np.mean([r.c1_vacant / n for r in records]))
     elapsed = time.perf_counter() - t0
     decreasing = ratios[50_000] > ratios[100_000] > ratios[200_000]

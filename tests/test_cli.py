@@ -129,6 +129,26 @@ class TestSimulate:
         assert "usage: vacantlab" in res.stderr
         assert "--n must be at least 100" in res.stderr
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--rho", "0.5"], "supercritical rho required"),
+        (["--rho", "2", "--radius", "-1"], "radius must be nonnegative"),
+    ], ids=["rho-subcritical", "radius-negative"])
+    def test_tree_checks_precede_trials(self, tmp_path, monkeypatch, capsys, flags, message):
+        # the tree samples are drawn while the trials run, so what
+        # capacity_samples rejects must stop the command before either starts
+        from vacantlab import cli, experiments, gw
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started for a rejected request")
+
+        monkeypatch.setattr(gw, "capacity_samples", no_work)
+        monkeypatch.setattr(experiments, "run_trials", no_work)
+        monkeypatch.chdir(tmp_path)
+        argv = ["simulate", "--n", "200", "--u", "0.3", "--trials", "2", "--trees", "100",
+                *flags, "--seed", "1"]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
     def test_manifest_replay_reproduces_bytes(self, tmp_path):
         args = ["simulate", "--n", "300", "--rho", "2", "--u", "0.3",
                 "--trials", "2", "--seed", "11", "--trees", "3000",
@@ -238,6 +258,34 @@ class TestOtherCommands:
         assert manifest["root_seed"] == 2
         assert manifest["version"]
 
+    @pytest.mark.parametrize("args, threads, cap", [
+        (["simulate", "--n", "200", "--rho", "2", "--u", "0.3", "--trials", "2", "--trees", "100"],
+         "2", 2),
+        (["capacity", "--rho", "2", "--u", "0.3", "--trees", "100"], "abc", None),
+    ], ids=["simulate-two-workers", "capacity-invalid-cap"])
+    def test_manifest_environment(self, tmp_path, args, threads, cap):
+        # what a replay depends on and what the run cost, beside the output;
+        # an invalid worker cap stops only the commands that run trials
+        import platform
+        from importlib.metadata import version
+
+        import numpy as np
+
+        res = run_cli(args + ["--seed", "2", "--out", "out"], tmp_path,
+                      env_extra={"VACANTLAB_THREADS": threads})
+        assert res.returncode == 0, res.stderr
+        env = json.loads((tmp_path / "out.manifest.json").read_text())["environment"]
+        assert list(env) == ["python", "numpy", "scipy", "worker_cap", "peak_rss_mb",
+                             "workers_peak_rss_mb"]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert env["scipy"] == version("scipy")
+        assert env["worker_cap"] == cap
+        assert isinstance(env["peak_rss_mb"], float) and env["peak_rss_mb"] > 0
+        assert isinstance(env["workers_peak_rss_mb"], float)
+        # RUSAGE_CHILDREN counts reaped workers only; capacity starts none
+        assert env["workers_peak_rss_mb"] > 0 if cap == 2 else env["workers_peak_rss_mb"] >= 0
+
     def test_manifest_path_override(self, tmp_path):
         res = run_cli(["capacity", "--rho", "2", "--u", "0", "--trees", "100",
                        "--seed", "2", "--manifest", "custom.json"], tmp_path)
@@ -268,11 +316,20 @@ class TestOtherCommands:
         (["solve", "--rho", "2", "--trees", "0"], "n_trees must be positive"),
         (["capacity", "--rho", "2", "--u", "0.3", "--trees", "0"], "n_trees must be positive"),
         (["er-check", "--n", "0", "--rho", "2", "--u", "0", "--trials", "50"], "n must be at least 1"),
+        (["er-check", "--n", "3", "--rho", "5", "--u", "0", "--trials", "50"],
+         "edge probability exceeds 1"),
+        (["er-check", "--n", "100", "--rho", "-1", "--u", "0", "--trials", "50"],
+         "rho must be nonnegative"),
+        (["size-check", "--n", "0", "--rho", "2", "--u", "0.3", "--trials", "2"],
+         "n must be at least 1"),
+        (["size-check", "--n", "1", "--rho", "2", "--u", "0.3", "--trials", "2"],
+         "edge probability exceeds 1"),
         (["solve", "--rho", "40", "--trees", "100"],
          "rho=40 is too large: xi = 1 - exp(-rho*xi) is within float resolution of 1"),
     ], ids=["size-check-trials-0", "simulate-trials-0", "simulate-trees-0", "hitting-vertices-0",
             "hitting-vertices-negative", "solve-trees-0", "capacity-trees-0", "er-check-n-0",
-            "solve-rho-40"])
+            "er-check-rho-above-n", "er-check-rho-negative", "size-check-n-0",
+            "size-check-rho-above-n", "solve-rho-40"])
     def test_empty_request_exits_one(self, tmp_path, args, message):
         # a request for no trials or no probed vertices has no result to
         # report, and at rho = 40 xi is not distinguishable from 1

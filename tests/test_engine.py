@@ -1,5 +1,8 @@
 import math
+import multiprocessing
+import os
 import pickle
+import time
 from functools import partial
 
 import numpy as np
@@ -105,6 +108,73 @@ class TestRunTrials:
         monkeypatch.setenv(engine.THREADS_ENV_VAR, value)
         with pytest.raises(ValueError, match=f"VACANTLAB_THREADS must be a positive integer, got '{value}'"):
             engine.worker_count(4)
+
+
+def _marking_trial(directory, stream):
+    # leaves a trace of every trial that started, then takes long enough
+    # that a cancellation reaches the trials still queued
+    (directory / str(stream.stream_id)).touch()
+    time.sleep(0.5)
+    return stream.stream_id
+
+
+class _MeanwhileFailed(Exception):
+    pass
+
+
+class TestMeanwhile:
+    """``run_trials(..., meanwhile=f)`` runs f in the calling process while
+    the pool's workers run the trials, and returns (results, f())."""
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_runs_once_in_calling_process(self, monkeypatch, threads):
+        monkeypatch.setenv(engine.THREADS_ENV_VAR, threads)
+        calls = []
+
+        def meanwhile():
+            calls.append((os.getpid(), len(multiprocessing.active_children())))
+            return "value"
+
+        out, value = run_trials(_identity_trial, 4, root=derive_stream(1, 0), meanwhile=meanwhile)
+        assert out == list(range(4))
+        assert value == "value"
+        # one worker starts no process: the trials run after meanwhile, here
+        assert calls == [(os.getpid(), 0 if threads == "1" else 2)]
+
+    def test_results_independent_of_meanwhile_and_workers(self, monkeypatch):
+        root = derive_stream(11, 3)
+        trial = partial(_sum_trial, 100)
+        outs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv(engine.THREADS_ENV_VAR, threads)
+            outs.append(run_trials(trial, 6, root=root))
+            outs.append(run_trials(trial, 6, root=root, meanwhile=lambda: None)[0])
+        assert len({pickle.dumps(out) for out in outs}) == 1
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_error_propagates_and_no_worker_outlives_the_call(self, monkeypatch, tmp_path, threads):
+        monkeypatch.setenv(engine.THREADS_ENV_VAR, threads)
+        error = _MeanwhileFailed("no capacity")
+
+        def meanwhile():
+            raise error
+
+        with pytest.raises(_MeanwhileFailed) as info:
+            run_trials(partial(_marking_trial, tmp_path), 8, root=derive_stream(1, 0),
+                       meanwhile=meanwhile)
+        assert info.value is error
+        assert multiprocessing.active_children() == []
+        started = len(list(tmp_path.iterdir()))
+        # serially no trial starts; two workers hold at most three queued
+        # single-trial chunks when the rest are cancelled
+        assert started == 0 if threads == "1" else started < 8
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_first_error_index_attached(self, monkeypatch, threads):
+        monkeypatch.setenv(engine.THREADS_ENV_VAR, threads)
+        with pytest.raises(TrialError) as err:
+            run_trials(_failing_trial, 8, root=derive_stream(1, 0), meanwhile=lambda: None)
+        assert err.value.trial_index == 3
 
 
 class TestAggregate:

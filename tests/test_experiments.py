@@ -29,7 +29,7 @@ def serial(monkeypatch):
 
 class TestSweep:
     def test_u_zero_removes_exactly_one_vertex(self, small_caps, serial):
-        recs = sweep_vacant_structure(400, 2.0, [0.0], 6, derive_stream(41, 0), caps=small_caps)
+        recs = sweep_vacant_structure(400, 2.0, [0.0], 6, derive_stream(41, 0), caps=lambda: small_caps)
         for r in recs:
             assert r.vacant_size == r.giant_size - 1
             # the removed start may be a cut vertex, splitting off a small piece
@@ -40,7 +40,7 @@ class TestSweep:
 
     def test_vacant_size_monotone_along_grid(self, small_caps, serial):
         grid = [0.0, 0.2, 0.5, 1.0, 1.6]
-        recs = sweep_vacant_structure(600, 2.0, grid, 4, derive_stream(41, 1), caps=small_caps)
+        recs = sweep_vacant_structure(600, 2.0, grid, 4, derive_stream(41, 1), caps=lambda: small_caps)
         by_trial = {}
         for r in recs:
             by_trial.setdefault(r.trial, []).append((r.u, r.vacant_size))
@@ -49,22 +49,22 @@ class TestSweep:
             assert all(a >= b for a, b in zip(sizes, sizes[1:]))
 
     def test_records_validate_and_csv_header(self, small_caps, serial):
-        recs = sweep_vacant_structure(300, 2.0, [0.1, 0.4], 3, derive_stream(41, 2), caps=small_caps)
+        recs = sweep_vacant_structure(300, 2.0, [0.1, 0.4], 3, derive_stream(41, 2), caps=lambda: small_caps)
         text = sweep_records_to_csv(recs)
         assert text.splitlines()[0] == ",".join(SWEEP_COLUMNS)
 
     def test_deterministic_and_worker_invariant(self, small_caps, monkeypatch):
         args = dict(n=300, rho=2.0, u_grid=[0.3], n_trials=4)
         monkeypatch.setenv(engine.THREADS_ENV_VAR, "1")
-        a = sweep_vacant_structure(root=derive_stream(41, 3), caps=small_caps, **args)
+        a = sweep_vacant_structure(root=derive_stream(41, 3), caps=lambda: small_caps, **args)
         monkeypatch.setenv(engine.THREADS_ENV_VAR, "3")
-        b = sweep_vacant_structure(root=derive_stream(41, 3), caps=small_caps, **args)
+        b = sweep_vacant_structure(root=derive_stream(41, 3), caps=lambda: small_caps, **args)
         assert a == b
 
     def test_grid_validation(self, small_caps):
         with pytest.raises(ValueError):
             sweep_vacant_structure(300, 2.0, [0.4, 0.1], 2, derive_stream(41, 4),
-                                   caps=small_caps)
+                                   caps=lambda: small_caps)
 
     def test_invariant_violation_detected(self):
         with pytest.raises(ValueError, match="ordering invariant"):
@@ -77,7 +77,7 @@ class TestSweep:
         # kernel moved to a masked edge list: replay bytes must not move
         root = derive_stream(47, 0)
         caps = gw.capacity_samples(2.0, 40, 2000, root.substream(901))
-        recs = sweep_vacant_structure(3000, 2.0, [0.0, 0.3, 0.6, 0.9, 1.2, 1.5], 2, root, caps=caps)
+        recs = sweep_vacant_structure(3000, 2.0, [0.0, 0.3, 0.6, 0.9, 1.2, 1.5], 2, root, caps=lambda: caps)
         digest = hashlib.sha256(sweep_records_to_csv(recs).encode()).hexdigest()
         assert digest == "dc999d85ec2230f8efed152fed9e9f7f529834d8299947043eb86a319cfbc170"
 
@@ -153,7 +153,7 @@ class TestCrossingRoute:
         # no trials give no mean: the crossing must not bisect on nan
         root = derive_stream(45, 2)
         with pytest.raises(ValueError, match="n_trials must be positive"):
-            sweep_vacant_structure(300, 2.0, [0.3], 0, root, caps=small_caps)
+            sweep_vacant_structure(300, 2.0, [0.3], 0, root, caps=lambda: small_caps)
         with pytest.raises(ValueError, match="n_trials must be positive"):
             size_relation_check(300, 2.0, 0.3, 0, root)
         with pytest.raises(ValueError, match="n_trials must be positive"):
