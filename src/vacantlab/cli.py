@@ -21,6 +21,7 @@ import numpy as np
 
 from . import __version__, critical, experiments, exploration, gw
 from .engine import RngStream, TrialError, derive_stream, worker_cap
+from .random_graph import edge_probability
 
 
 def _json(obj) -> str:
@@ -45,23 +46,20 @@ def _peak_rss_mb(who: int) -> float:
 def _environment() -> dict:
     """What a replay depends on besides ``argv`` (the streams come from
     numpy's SeedSequence and Philox), and what the run cost in memory.
-    scipy's version is read from its metadata, so scipy is not imported."""
-    # read before importlib.metadata adds its own modules to the process
-    rss_self = _peak_rss_mb(resource.RUSAGE_SELF)
-    rss_workers = _peak_rss_mb(resource.RUSAGE_CHILDREN)
-    from importlib.metadata import version
-
+    scipy's version is recorded only when the command loaded scipy, since
+    no other output depends on it."""
     try:
         cap = worker_cap()
     except ValueError:
         cap = None  # an invalid cap stops only commands that run trials
+    scipy = sys.modules.get("scipy")
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": version("scipy"),
+        "scipy": None if scipy is None else scipy.__version__,
         "worker_cap": cap,
-        "peak_rss_mb": rss_self,
-        "workers_peak_rss_mb": rss_workers,
+        "peak_rss_mb": _peak_rss_mb(resource.RUSAGE_SELF),
+        "workers_peak_rss_mb": _peak_rss_mb(resource.RUSAGE_CHILDREN),
     }
 
 
@@ -142,8 +140,7 @@ def _cmd_simulate(args) -> list[str]:
         raise ValueError("radius must be nonnegative")
     if args.trees < 1:
         raise ValueError("n_trees must be positive")
-    if args.rho > args.n:
-        raise ValueError("edge probability exceeds 1")
+    edge_probability(args.n, args.rho)
     root = derive_stream(args.seed, 0)
     caps = partial(gw.capacity_samples, args.rho, args.radius, args.trees, root.substream(901))
     records = experiments.sweep_vacant_structure(args.n, args.rho, grid, args.trials, root, caps=caps)

@@ -19,6 +19,7 @@ import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -154,23 +155,19 @@ def worker_cap() -> int:
     return cap
 
 
-def worker_count(n_trials: int) -> int:
-    """Effective worker count: the worker cap, and no more than the trials."""
-    return max(1, min(worker_cap(), n_trials))
-
-
 def trial_stream(root: RngStream, trial_index: int) -> RngStream:
     """Stream of one trial in the family keyed by ``root``; stream_id is the
     trial index so trials are replayable individually."""
     return RngStream(root.entropy64(), int(trial_index))
 
 
-def _run_one(job):
-    trial_fn, stream, idx = job
+def _run_one(trial_fn, stream):
+    # an outcome, not a raise: with chunks of several trials a raised error
+    # would surface at its chunk's first index
     try:
-        return ("ok", idx, trial_fn(stream))
+        return True, trial_fn(stream)
     except Exception as exc:  # noqa: BLE001 - re-raised with index by caller
-        return ("err", idx, exc)
+        return False, exc
 
 
 def run_trials(trial_fn, n_trials: int, *, root: RngStream, meanwhile=None):
@@ -193,37 +190,28 @@ def run_trials(trial_fn, n_trials: int, *, root: RngStream, meanwhile=None):
     """
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
-    jobs = [(trial_fn, trial_stream(root, i), i) for i in range(n_trials)]
-    workers = worker_count(n_trials)
-    parallel = workers > 1
-    if parallel:
+    streams = [trial_stream(root, i) for i in range(n_trials)]
+    workers = min(worker_cap(), n_trials)
+    if workers > 1:
         try:
             pickle.dumps(trial_fn)
         except Exception:
-            parallel = False  # unpicklable work runs serially; results are identical
-    side = None
-    if parallel:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            pending = pool.map(_run_one, jobs, chunksize=max(1, n_trials // (4 * workers)))
-            if meanwhile is not None:
-                try:
-                    side = meanwhile()
-                except BaseException:
-                    pool.shutdown(cancel_futures=True)
-                    raise
-            outcomes = list(pending)
-    else:
-        if meanwhile is not None:
-            side = meanwhile()
-        outcomes = [_run_one(job) for job in jobs]
-    results: list = [None] * n_trials
-    first_err: tuple[int, Exception] | None = None
-    for status, idx, payload in outcomes:
-        if status == "ok":
-            results[idx] = payload
-        elif first_err is None or idx < first_err[0]:
-            first_err = (idx, payload)
-    if first_err is not None:
-        idx, exc = first_err
-        raise TrialError(idx, repr(exc)) from exc
+            workers = 1  # unpicklable work runs serially; results are identical
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    run = partial(_run_one, trial_fn)
+    try:
+        # pool.map has submitted every trial when it returns; the builtin
+        # map is lazy, so serially no trial runs before meanwhile
+        outcomes = (map(run, streams) if pool is None
+                    else pool.map(run, streams, chunksize=max(1, n_trials // (4 * workers))))
+        side = None if meanwhile is None else meanwhile()
+        results = []
+        # in trial order, so the first failure has the smallest index
+        for ok, payload in outcomes:
+            if not ok:
+                raise TrialError(len(results), repr(payload)) from payload
+            results.append(payload)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return results if meanwhile is None else (results, side)

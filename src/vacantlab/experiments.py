@@ -19,7 +19,7 @@ import numpy as np
 
 from . import critical, exploration, walk
 from .engine import RngStream, as_generator, run_trials
-from .random_graph import components, giant_vertices, sample_er
+from .random_graph import components, edge_probability, giant_vertices, sample_er
 
 
 @dataclass(frozen=True)
@@ -135,10 +135,7 @@ def size_relation_check(n: int, rho: float, u: float, n_trials: int,
     """Independent exploration and walk runs at the same intensity; their
     mean vacant sizes should differ by the mass of the non-giant
     components, (1-xi)*n."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if rho > n:
-        raise ValueError("edge probability exceeds 1")
+    edge_probability(n, rho)  # the trials' request check, before any pool starts
     xi = critical.solve_xi(rho)
     t = walk.walk_time(u, rho, xi, n)
     explore = partial(_size_trial, n, rho, t + exploration.default_burn_in(n), "explore")
@@ -232,12 +229,16 @@ def exploration_mean_degree_at(n: int, rho: float, u: float, n_trials: int,
     return float(np.mean(sizes)) * rho / n
 
 
+# Upper end of the crossing's bisection bracket; u_star(rho = 2) is about 1.4.
+CROSSING_U_HI = 4.0
+
+
 def empirical_u_star_crossing(n: int, rho: float, n_trials: int, root: RngStream,
-                              *, tol_u: float = 0.01, u_hi: float = 4.0) -> float:
+                              *, tol_u: float = 0.01) -> float:
     """Intensity at which the exploration's mean vacant degree crosses 1,
-    located by bisection with per-point independent trials (the second,
-    simulation-only route to the critical intensity)."""
-    lo, hi = 0.0, u_hi
+    located by bisection on [0, CROSSING_U_HI] with per-point independent
+    trials (the second, simulation-only route to the critical intensity)."""
+    lo, hi = 0.0, CROSSING_U_HI
     point = 0
     dlo = exploration_mean_degree_at(n, rho, 0.0, n_trials, root.substream(10, point))
     if dlo <= 1.0:

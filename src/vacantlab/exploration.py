@@ -30,7 +30,7 @@ import numpy as np
 from . import critical, walk
 from ._gof import chisq_pvalue_counts_vs_probs
 from .engine import RngStream, as_generator, ks_uniform_pvalue, run_trials
-from .random_graph import sample_er
+from .random_graph import edge_probability, sample_er
 
 # _uniforms draws blocks of 16, 32, ... uniforms up to _BLOCK, so a short
 # exploration does not pay for thousands of draws it never uses.
@@ -111,14 +111,8 @@ def _visit(state: ExplorationState, v: int) -> None:
 def new_exploration(n: int, rho: float, rng) -> ExplorationState:
     """Fresh exploration: a uniform starting vertex, visited, with its
     edges already sampled."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
-    if rho > n:
-        raise ValueError("edge probability exceeds 1")
+    p = edge_probability(n, rho)
     gen = as_generator(rng)
-    p = rho / n
     start = int(gen.integers(0, n))
     # the start goes last, so removing it leaves the others in vertex order
     unvisited = list(range(start)) + list(range(start + 1, n)) + [start]
@@ -236,12 +230,7 @@ def er_law_check(n: int, rho: float, u: float, n_trials: int, root: RngStream) -
     own stream, so any trial replays alone and the report is identical
     for every worker count.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
-    if rho > n:
-        raise ValueError("edge probability exceeds 1")
+    p = edge_probability(n, rho)
     if n_trials < 50:
         raise ValueError("need at least 50 trials")
     if u < 0:
@@ -253,7 +242,6 @@ def er_law_check(n: int, rho: float, u: float, n_trials: int, root: RngStream) -
     t = default_burn_in(n)
     if rho > 1.0:
         t += walk.walk_time(u, rho, critical.solve_xi(rho), n)
-    p = rho / n
     trials = run_trials(partial(_er_trial, n, rho, t), n_trials, root=root)
     mean_fraction = float(np.mean([size for size, _, _ in trials])) / n
     mean_degree = mean_fraction * rho

@@ -28,7 +28,8 @@ import numpy as np
 from . import critical
 from .engine import EstimateCI, aggregate, as_generator
 
-DEFAULT_NODE_BUDGET = 10_000_000
+# Most nodes a materialized tree may hold; read at call time.
+NODE_BUDGET = 10_000_000
 # The coupled diagnostic radius of capacity_samples is radius - DIAGNOSTIC_OFFSET.
 DIAGNOSTIC_OFFSET = 5
 
@@ -87,7 +88,7 @@ def _assemble(parents: list, level_sizes: list, backbone: np.ndarray, depth_cap:
     )
 
 
-def sample_gw(rho: float, depth_cap: int, rng, node_budget: int = DEFAULT_NODE_BUDGET) -> GWTree:
+def sample_gw(rho: float, depth_cap: int, rng) -> GWTree:
     """Tree with Poisson(rho) offspring per node, truncated at depth_cap."""
     if rho < 0:
         raise ValueError("rho must be nonnegative")
@@ -104,15 +105,15 @@ def sample_gw(rho: float, depth_cap: int, rng, node_budget: int = DEFAULT_NODE_B
         if n_new == 0:
             break
         total += n_new
-        if total > node_budget:
-            raise NodeBudgetExceeded(f"node budget {node_budget} exceeded at depth {d}")
+        if total > NODE_BUDGET:
+            raise NodeBudgetExceeded(f"node budget {NODE_BUDGET} exceeded at depth {d}")
         parents.append(np.repeat(level, counts))
         level_sizes.append(n_new)
         level = np.arange(total - n_new, total, dtype=np.int64)
     return _assemble(parents, level_sizes, np.zeros(total, dtype=bool), depth_cap)
 
 
-def sample_gw_conditioned(rho: float, depth_cap: int, rng, node_budget: int = DEFAULT_NODE_BUDGET) -> GWTree:
+def sample_gw_conditioned(rho: float, depth_cap: int, rng) -> GWTree:
     """Tree conditioned on non-extinction via the exact backbone
     decomposition, truncated at depth_cap; the root is on the backbone.
 
@@ -144,8 +145,8 @@ def sample_gw_conditioned(rho: float, depth_cap: int, rng, node_budget: int = DE
         if n_new == 0:
             break
         total += n_new
-        if total > node_budget:
-            raise NodeBudgetExceeded(f"node budget {node_budget} exceeded at depth {d}")
+        if total > NODE_BUDGET:
+            raise NodeBudgetExceeded(f"node budget {NODE_BUDGET} exceeded at depth {d}")
         level_backbone = np.arange(n_new) < int(k_star.sum())
         parents.append(new_parents)
         level_sizes.append(n_new)
@@ -154,7 +155,7 @@ def sample_gw_conditioned(rho: float, depth_cap: int, rng, node_budget: int = DE
     return _assemble(parents, level_sizes, np.concatenate(backbones), depth_cap)
 
 
-def sample_gw_rejection(rho: float, depth_cap: int, rng, node_budget: int = DEFAULT_NODE_BUDGET,
+def sample_gw_rejection(rho: float, depth_cap: int, rng,
                         survival_depth: int | None = None) -> GWTree:
     """Definitional conditioned sampler: resample plain trees until one
     survives to ``survival_depth`` (default: the truncation depth).
@@ -168,7 +169,7 @@ def sample_gw_rejection(rho: float, depth_cap: int, rng, node_budget: int = DEFA
     target = depth_cap if survival_depth is None else survival_depth
     gen = as_generator(rng)
     while True:
-        tree = sample_gw(rho, depth_cap, gen, node_budget)
+        tree = sample_gw(rho, depth_cap, gen)
         # the chain draws nothing at depth 0 or from z = 0, so a horizon
         # inside the tree costs no draws and tests z > 0
         z = int(tree.generation_sizes()[min(target, depth_cap)])
@@ -317,8 +318,7 @@ def capacity_samples(rho: float, radius: int, n_samples: int, rng) -> CapacitySa
     return CapacitySamples(caps=caps[radius], caps_diagnostic=caps[diag_radius] if diag_radius else None)
 
 
-def capacity_samples_direct(rho: float, radius: int, n_samples: int, rng,
-                            node_budget: int = DEFAULT_NODE_BUDGET) -> tuple[np.ndarray, int]:
+def capacity_samples_direct(rho: float, radius: int, n_samples: int, rng) -> tuple[np.ndarray, int]:
     """Reference route: materialize conditioned trees and run the exact
     conductance recursion per tree. Only feasible at small radius; trees
     that exhaust the node budget are counted, not silently dropped."""
@@ -327,7 +327,7 @@ def capacity_samples_direct(rho: float, radius: int, n_samples: int, rng,
     aborted = 0
     for _ in range(n_samples):
         try:
-            tree = sample_gw_conditioned(rho, radius + 1, gen, node_budget)
+            tree = sample_gw_conditioned(rho, radius + 1, gen)
         except NodeBudgetExceeded:
             aborted += 1
             continue

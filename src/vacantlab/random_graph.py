@@ -93,6 +93,18 @@ def _pair_from_index(k: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return i, i + 1 + (k - starts[i])
 
 
+def edge_probability(n: int, rho: float) -> float:
+    """The edge probability rho/n of G(n, rho/n), once the request is
+    checked: n at least 1, rho nonnegative and at most n."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if rho < 0:
+        raise ValueError("rho must be nonnegative")
+    if rho > n:
+        raise ValueError("edge probability exceeds 1")
+    return rho / n
+
+
 def sample_er(n: int, rho: float, rng) -> Graph:
     """Sample the n-vertex random graph with every edge present
     independently with probability rho/n.
@@ -100,14 +112,8 @@ def sample_er(n: int, rho: float, rng) -> Graph:
     Generation skips over the lexicographic edge enumeration with
     geometric gaps, so cost is O(n + m) rather than O(n^2).
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if rho < 0:
-        raise ValueError("rho must be nonnegative")
-    if rho > n:
-        raise ValueError("edge probability exceeds 1")
+    p = edge_probability(n, rho)
     gen = as_generator(rng)
-    p = rho / n
     total = n * (n - 1) // 2
     if p <= 0.0 or total == 0:
         empty = np.zeros(0, dtype=np.int64)

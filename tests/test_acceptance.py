@@ -249,7 +249,7 @@ def test_09_subcritical_all_small(caps_rho2, u_star):
 def test_10_two_route_critical_intensity(u_star):
     t0 = time.perf_counter()
     crossing = experiments.empirical_u_star_crossing(
-        100_000, RHO, 5, stream(10), tol_u=0.01, u_hi=4.0)
+        100_000, RHO, 5, stream(10), tol_u=0.01)
     elapsed = time.perf_counter() - t0
     diff = abs(crossing - u_star.u_star)
     ok = diff <= 0.05 and elapsed < 1200.0

@@ -258,18 +258,21 @@ class TestOtherCommands:
         assert manifest["root_seed"] == 2
         assert manifest["version"]
 
-    @pytest.mark.parametrize("args, threads, cap", [
+    @pytest.mark.parametrize("args, threads, cap, loads_scipy", [
         (["simulate", "--n", "200", "--rho", "2", "--u", "0.3", "--trials", "2", "--trees", "100"],
-         "2", 2),
-        (["capacity", "--rho", "2", "--u", "0.3", "--trees", "100"], "abc", None),
-    ], ids=["simulate-two-workers", "capacity-invalid-cap"])
-    def test_manifest_environment(self, tmp_path, args, threads, cap):
+         "2", 2, False),
+        (["capacity", "--rho", "2", "--u", "0.3", "--trees", "100"], "abc", None, False),
+        (["er-check", "--n", "200", "--rho", "2", "--u", "0.3", "--trials", "50"], "1", 1, True),
+    ], ids=["simulate-two-workers", "capacity-invalid-cap", "er-check-scipy"])
+    def test_manifest_environment(self, tmp_path, args, threads, cap, loads_scipy):
         # what a replay depends on and what the run cost, beside the output;
-        # an invalid worker cap stops only the commands that run trials
+        # an invalid worker cap stops only the commands that run trials, and
+        # scipy's version is recorded only by er-check, the one command whose
+        # output depends on it
         import platform
-        from importlib.metadata import version
 
         import numpy as np
+        import scipy
 
         res = run_cli(args + ["--seed", "2", "--out", "out"], tmp_path,
                       env_extra={"VACANTLAB_THREADS": threads})
@@ -279,7 +282,7 @@ class TestOtherCommands:
                              "workers_peak_rss_mb"]
         assert env["python"] == platform.python_version()
         assert env["numpy"] == np.__version__
-        assert env["scipy"] == version("scipy")
+        assert env["scipy"] == (scipy.__version__ if loads_scipy else None)
         assert env["worker_cap"] == cap
         assert isinstance(env["peak_rss_mb"], float) and env["peak_rss_mb"] > 0
         assert isinstance(env["workers_peak_rss_mb"], float)
@@ -293,14 +296,22 @@ class TestOtherCommands:
         manifest = json.loads((tmp_path / "custom.json").read_text())
         assert manifest["command"] == "capacity"
 
-    def test_trial_failure_exits_one(self, tmp_path):
-        # rho > n makes every trial's edge probability exceed 1
-        res = run_cli(["size-check", "--n", "10", "--rho", "20", "--u", "0.3",
-                       "--trials", "2", "--seed", "1"], tmp_path)
-        assert res.returncode == 1, res.stderr
-        assert "Traceback" not in res.stderr
-        lines = res.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error:"), res.stderr
+    def test_trial_failure_exits_one(self, tmp_path, monkeypatch, capsys):
+        # a trial that raises stops the command with one line naming the trial
+        from vacantlab import cli, experiments
+
+        def failing_trial(*args):
+            raise RuntimeError("injected")
+
+        monkeypatch.setattr(experiments, "_size_trial", failing_trial)
+        monkeypatch.setenv("VACANTLAB_THREADS", "1")
+        monkeypatch.chdir(tmp_path)
+        argv = ["size-check", "--n", "200", "--rho", "2", "--u", "0.3", "--trials", "2",
+                "--seed", "1"]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: trial 0 failed: RuntimeError('injected')"]
 
     @pytest.mark.parametrize("args, message", [
         (["size-check", "--n", "2000", "--rho", "2", "--u", "0.3", "--trials", "0"],
@@ -324,12 +335,17 @@ class TestOtherCommands:
          "n must be at least 1"),
         (["size-check", "--n", "1", "--rho", "2", "--u", "0.3", "--trials", "2"],
          "edge probability exceeds 1"),
+        (["size-check", "--n", "10", "--rho", "20", "--u", "0.3", "--trials", "2"],
+         "edge probability exceeds 1"),
+        (["size-check", "--n", "2000", "--rho", "-1", "--u", "0.3", "--trials", "2"],
+         "rho must be nonnegative"),
         (["solve", "--rho", "40", "--trees", "100"],
          "rho=40 is too large: xi = 1 - exp(-rho*xi) is within float resolution of 1"),
     ], ids=["size-check-trials-0", "simulate-trials-0", "simulate-trees-0", "hitting-vertices-0",
             "hitting-vertices-negative", "solve-trees-0", "capacity-trees-0", "er-check-n-0",
             "er-check-rho-above-n", "er-check-rho-negative", "size-check-n-0",
-            "size-check-rho-above-n", "solve-rho-40"])
+            "size-check-rho-above-n", "size-check-rho-20-n-10", "size-check-rho-negative",
+            "solve-rho-40"])
     def test_empty_request_exits_one(self, tmp_path, args, message):
         # a request for no trials or no probed vertices has no result to
         # report, and at rho = 40 xi is not distinguishable from 1

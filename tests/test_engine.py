@@ -97,17 +97,22 @@ class TestRunTrials:
         parallel = run_trials(partial(_sum_trial, 100), 6, root=root)
         assert pickle.dumps(serial) == pickle.dumps(parallel)
 
-    def test_first_error_index_attached(self, monkeypatch):
-        monkeypatch.setenv(engine.THREADS_ENV_VAR, "1")
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_first_error_index_attached(self, monkeypatch, threads):
+        # 16 trials on two workers go in chunks of two, so trial 3 shares a
+        # chunk with trial 2 and its error must still name trial 3
+        monkeypatch.setenv(engine.THREADS_ENV_VAR, threads)
         with pytest.raises(TrialError) as err:
-            run_trials(_failing_trial, 8, root=derive_stream(1, 0))
+            run_trials(_failing_trial, 16, root=derive_stream(1, 0))
         assert err.value.trial_index == 3
+        assert str(err.value) == "trial 3 failed: RuntimeError('boom 3')"
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("value", ["0", "abc"])
     def test_threads_env_validation(self, monkeypatch, value):
         monkeypatch.setenv(engine.THREADS_ENV_VAR, value)
         with pytest.raises(ValueError, match=f"VACANTLAB_THREADS must be a positive integer, got '{value}'"):
-            engine.worker_count(4)
+            engine.worker_cap()
 
 
 def _marking_trial(directory, stream):

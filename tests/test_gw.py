@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import escape_probability_harmonic_oracle, xi_fixed_point_oracle
-from vacantlab import critical
+from vacantlab import critical, gw
 from vacantlab._gof import chisq_pvalue_counts_vs_probs, chisq_pvalue_two_sample, histogram_pair
 from vacantlab.engine import derive_stream
 from vacantlab.gw import (
@@ -83,9 +83,10 @@ class TestSampleGw:
         b = np.array([int(generation_sizes(rho, depth, gen)[depth]) for _ in range(20_000)])
         assert chisq_pvalue_two_sample(*histogram_pair(a, b)) > 0.001
 
-    def test_node_budget_enforced(self):
-        with pytest.raises(NodeBudgetExceeded):
-            sample_gw(3.0, 40, derive_stream(5, 0), node_budget=100)
+    def test_node_budget_enforced(self, monkeypatch):
+        monkeypatch.setattr(gw, "NODE_BUDGET", 100)
+        with pytest.raises(NodeBudgetExceeded, match="node budget 100 exceeded"):
+            sample_gw(3.0, 40, derive_stream(5, 0))
 
 
 class TestSampleGwConditioned:
@@ -189,7 +190,7 @@ class TestConductance:
     def test_radius_monotone(self):
         gen = derive_stream(11, 0).generator()
         for _ in range(200):
-            tree = sample_gw_conditioned(1.5, 7, gen, node_budget=100_000)
+            tree = sample_gw_conditioned(1.5, 7, gen)
             caps = [conductance_to_boundary(tree, r).capacity for r in range(7)]
             assert all(a >= b - 1e-12 for a, b in zip(caps, caps[1:]))
             assert caps[0] == tree.root_degree()  # radius 0 grounds the children
@@ -197,7 +198,7 @@ class TestConductance:
     def test_capacity_bounded_by_degree(self):
         gen = derive_stream(12, 0).generator()
         for _ in range(200):
-            tree = sample_gw_conditioned(2.0, 6, gen, node_budget=100_000)
+            tree = sample_gw_conditioned(2.0, 6, gen)
             res = conductance_to_boundary(tree, 5)
             assert 0.0 <= res.escape_probability <= 1.0
             assert res.capacity <= res.root_degree + 1e-12
