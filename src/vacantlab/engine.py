@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -192,12 +191,17 @@ def run_trials(trial_fn, n_trials: int, *, root: RngStream, meanwhile=None):
         raise ValueError("n_trials must be positive")
     streams = [trial_stream(root, i) for i in range(n_trials)]
     workers = min(worker_cap(), n_trials)
+    pool = None
     if workers > 1:
         try:
             pickle.dumps(trial_fn)
         except Exception:
-            workers = 1  # unpicklable work runs serially; results are identical
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+            pass  # unpicklable work runs serially; results are identical
+        else:
+            # imported here: commands that never make a pool skip multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(max_workers=workers)
     run = partial(_run_one, trial_fn)
     try:
         # pool.map has submitted every trial when it returns; the builtin

@@ -15,8 +15,9 @@ depth r+1 of a supercritical tree holds order rho^r nodes, beyond any
 budget long before the default radius. The functional sampler therefore
 draws from the exact distributional recursion satisfied by the
 conductance-to-boundary, level by level, with resampling pools (see
-``capacity_samples``); per-tree materialization stays available for
-cross-validation at small radius.
+``capacity_samples``) whose child counts are Poissonized (``_draws``);
+per-tree materialization stays available for cross-validation at small
+radius.
 """
 
 from __future__ import annotations
@@ -256,12 +257,32 @@ class CapacitySamples:
         return aggregate(np.exp(-u * caps))
 
 
-def _pool_step(pool: np.ndarray, counts: np.ndarray, picks: np.ndarray, out: np.ndarray) -> None:
-    """Add h(pool[pick]) = C/(1+C) over the picks of sample i to out[i];
-    sample i owns the next ``counts[i]`` entries of ``picks``."""
-    vals = pool[picks]
-    vals = vals / (1.0 + vals)
-    np.add.at(out, np.repeat(np.arange(len(counts)), counts), vals)
+def _draws(gen: np.random.Generator, lam: float, m: int,
+           positive: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Children of m owners with iid Poisson(lam) child counts, conditioned
+    to be >= 1 if ``positive``, as (owner, pool pick) pairs.
+
+    Poissonization: T ~ Poisson(lam*m) children with uniform owners give
+    each owner an independent Poisson(lam) count. Under ``positive``, the
+    owners left childless take fresh rounds among themselves until each
+    has a child, which is exact rejection per owner. Every child then picks
+    a uniform index into a length-m pool."""
+    owners = gen.integers(0, m, gen.poisson(lam * m))
+    if positive:
+        rounds = [owners]
+        empty = np.flatnonzero(np.bincount(owners, minlength=m) == 0)
+        while len(empty):
+            local = gen.integers(0, len(empty), gen.poisson(lam * len(empty)))
+            rounds.append(empty[local])
+            empty = empty[np.bincount(local, minlength=len(empty)) == 0]
+        owners = np.concatenate(rounds)
+    return owners, gen.integers(0, m, len(owners))
+
+
+def _child_sum(draws: tuple[np.ndarray, np.ndarray], h_pool: np.ndarray) -> np.ndarray:
+    """Per owner, the sum of h_pool over its children's picks."""
+    owners, picks = draws
+    return np.bincount(owners, weights=h_pool[picks], minlength=len(h_pool))
 
 
 def capacity_samples(rho: float, radius: int, n_samples: int, rng) -> CapacitySamples:
@@ -269,13 +290,16 @@ def capacity_samples(rho: float, radius: int, n_samples: int, rng) -> CapacitySa
     given radius via the level-pool distributional recursion, plus coupled
     samples at radius - DIAGNOSTIC_OFFSET from the same root draws.
 
-    Pool level m holds conductances from a node to the boundary m levels
-    below it, for doomed and backbone node types separately; level m+1
-    samples combine positive-Poisson(rho*xi) backbone picks and
-    Poisson(rho*(1-xi)) doomed picks through C -> C/(1+C). Pool resampling
+    Pool level k holds h(C) = C/(1+C) of the conductance C from a node to
+    the boundary k levels below it, for doomed and backbone nodes
+    separately (h = 1 at level 0). A level-(k+1) conductance sums h over
+    the node's children, drawn by ``_draws`` and each picked from the
+    level-k pool of its type: Poisson(rho*(1-xi)) doomed children, plus
+    positive-Poisson(rho*xi) backbone children for a backbone node. The
+    root's draws are made once and serve both radii. Pool resampling
     introduces an O(1/n_samples) correlation between samples, negligible
     against the reported Monte Carlo error at the default sample sizes.
-    Only the previous level's pools and the diagnostic level's are kept.
+    Only the current level's pools and the diagnostic level's are kept.
     """
     if rho <= 1.0:
         raise ValueError("supercritical rho required")
@@ -290,31 +314,20 @@ def capacity_samples(rho: float, radius: int, n_samples: int, rng) -> CapacitySa
     m = n_samples
     diag_radius = radius - DIAGNOSTIC_OFFSET if radius - DIAGNOSTIC_OFFSET >= 1 else None
 
-    doomed = gen.poisson(lam_d, m).astype(np.float64)
-    backbone = (_positive_poisson(gen, lam_b, m) + gen.poisson(lam_d, m)).astype(np.float64)
-    levels = {}  # root-combine level -> (backbone pool, doomed pool)
-    for level in range(1, radius + 1):
-        if level > 1:
-            new_d, new_b = np.zeros(m), np.zeros(m)
-            counts = gen.poisson(lam_d, m)
-            _pool_step(doomed, counts, gen.integers(0, m, int(counts.sum())), new_d)
-            counts = _positive_poisson(gen, lam_b, m)
-            _pool_step(backbone, counts, gen.integers(0, m, int(counts.sum())), new_b)
-            counts = gen.poisson(lam_d, m)
-            _pool_step(doomed, counts, gen.integers(0, m, int(counts.sum())), new_b)
-            doomed, backbone = new_d, new_b
+    h_b = h_d = np.ones(m)
+    levels = {}  # root-combine level -> (backbone h pool, doomed h pool)
+    for level in range(radius + 1):
+        if level > 0:
+            c_d = _child_sum(_draws(gen, lam_d, m), h_d)
+            c_b = (_child_sum(_draws(gen, lam_b, m, positive=True), h_b)
+                   + _child_sum(_draws(gen, lam_d, m), h_d))
+            h_d, h_b = c_d / (1.0 + c_d), c_b / (1.0 + c_b)
         if level in (radius, diag_radius):
-            levels[level] = (backbone, doomed)
+            levels[level] = (h_b, h_d)
 
-    k_star = _positive_poisson(gen, lam_b, m)
-    k_doom = gen.poisson(lam_d, m)
-    picks_b = gen.integers(0, m, int(k_star.sum()))
-    picks_d = gen.integers(0, m, int(k_doom.sum()))
-    caps = {0: (k_star + k_doom).astype(np.float64)}
-    for level, (pool_b, pool_d) in levels.items():
-        caps[level] = np.zeros(m)
-        _pool_step(pool_b, k_star, picks_b, caps[level])
-        _pool_step(pool_d, k_doom, picks_d, caps[level])
+    root_b, root_d = _draws(gen, lam_b, m, positive=True), _draws(gen, lam_d, m)
+    caps = {level: _child_sum(root_b, pool_b) + _child_sum(root_d, pool_d)
+            for level, (pool_b, pool_d) in levels.items()}
     return CapacitySamples(caps=caps[radius], caps_diagnostic=caps[diag_radius] if diag_radius else None)
 
 

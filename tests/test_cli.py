@@ -421,6 +421,16 @@ class TestImportPath:
         assert res.returncode == 0, res.stderr
         assert res.stdout.split() == []
 
+    def test_cli_import_loads_no_process_pool(self, tmp_path):
+        # engine imports the process pool only when run_trials makes one
+        pool_modules = ["multiprocessing", "concurrent.futures.process"]
+        code = ("import sys, vacantlab.cli; "
+                f"print(' '.join(m for m in {pool_modules!r} if m in sys.modules))")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             cwd=tmp_path, env=cli_env())
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.split() == []
+
     def test_commands_other_than_er_check_load_no_scipy(self, tmp_path):
         # scipy serves only er-check's p-values and the spectral-gap oracle;
         # the trials run in this interpreter, so no worker can hide an import

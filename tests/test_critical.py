@@ -104,9 +104,10 @@ class TestSolveUStar:
             results.append(critical.solve_u_star(2.0, caps.functional))
         a, b = results
         assert a.ci_high - a.u_star <= 0.02
-        # independent runs land inside each other's reported intervals
-        assert a.ci_low <= b.u_star <= a.ci_high
-        assert b.ci_low <= a.u_star <= b.ci_high
+        # two independent estimates agree within the 95 % two-sample band:
+        # |a - b| <= 1.96 * sqrt(se_a^2 + se_b^2), se = half-width / 1.96
+        se_a, se_b = [(r.ci_high - r.ci_low) / 2 / 1.96 for r in results]
+        assert abs(a.u_star - b.u_star) <= 1.96 * math.hypot(se_a, se_b)
 
     def test_broken_functional_detected(self):
         flat = lambda u: aggregate([1.0, 1.0])

@@ -73,13 +73,14 @@ class TestSweep:
                         zeta_predicted=0.5, vacant_fraction_predicted=0.5).validate()
 
     def test_csv_bytes_pinned(self, serial):
-        # sha256 of the sweep CSV, computed before the vacant-component
-        # kernel moved to a masked edge list: replay bytes must not move
+        # sha256 of the sweep CSV: replay bytes must not move. The two
+        # predicted columns follow capacity_samples' draws, whose stream
+        # changed in version 0.2.0; the graph and walk columns did not
         root = derive_stream(47, 0)
         caps = gw.capacity_samples(2.0, 40, 2000, root.substream(901))
         recs = sweep_vacant_structure(3000, 2.0, [0.0, 0.3, 0.6, 0.9, 1.2, 1.5], 2, root, caps=lambda: caps)
         digest = hashlib.sha256(sweep_records_to_csv(recs).encode()).hexdigest()
-        assert digest == "dc999d85ec2230f8efed152fed9e9f7f529834d8299947043eb86a319cfbc170"
+        assert digest == "322673bff187dd66aab147ebb733a7306a9a16246d6b5ea78884d996957159b7"
 
 
 class TestSizeRelation:

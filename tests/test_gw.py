@@ -229,18 +229,25 @@ class TestCapacityFunctional:
         width = est.ci95_high - est.ci95_low
         assert diff <= 2 * width
 
+    def test_diagnostic_shares_root_draws(self):
+        # both radii take the root's children and picks from one draw, so
+        # each sample's two capacities move together (independent root
+        # draws would leave them uncorrelated)
+        s = capacity_samples(2.0, 12, 20_000, derive_stream(72, 0))
+        assert np.corrcoef(s.caps, s.caps_diagnostic)[0, 1] > 0.5
+
     def test_pool_matches_per_tree_route(self):
         # the level-pool sampler against materialized trees + exact
-        # conductance, at a radius where materialization is feasible
-        rho, radius = 1.5, 6
-        direct, aborted = capacity_samples_direct(rho, radius, 20_000, derive_stream(17, 0))
-        assert aborted == 0
-        pool = capacity_samples(rho, radius, 100_000, derive_stream(18, 0))
-        for u in (0.3, 0.8):
-            a = np.exp(-u * direct)
-            b = np.exp(-u * pool.caps)
-            se = math.hypot(a.std() / math.sqrt(len(a)), b.std() / math.sqrt(len(b)))
-            assert abs(a.mean() - b.mean()) <= 4 * se
+        # conductance, at radii where materialization is feasible
+        for rho, radius, n_direct in ((1.5, 6, 20_000), (2.0, 5, 10_000)):
+            direct, aborted = capacity_samples_direct(rho, radius, n_direct, derive_stream(17, 0))
+            assert aborted == 0
+            pool = capacity_samples(rho, radius, 100_000, derive_stream(18, 0))
+            for u in (0.3, 0.8):
+                a = np.exp(-u * direct)
+                b = np.exp(-u * pool.caps)
+                se = math.hypot(a.std() / math.sqrt(len(a)), b.std() / math.sqrt(len(b)))
+                assert abs(a.mean() - b.mean()) <= 4 * se, (rho, u)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError, match="supercritical rho required"):
@@ -253,16 +260,63 @@ class TestCapacityFunctional:
             capacity_samples(2.0, 5, 100, derive_stream(1, 0)).functional(0.1, diagnostic=True)
 
 
+def _offspring_pmf(lam: float, positive: bool, kmax: int) -> np.ndarray:
+    from scipy.stats import poisson
+
+    pmf = poisson.pmf(np.arange(kmax + 1), lam)
+    if positive:
+        pmf[0] = 0.0
+        pmf /= 1 - math.exp(-lam)
+    return pmf
+
+
+class TestOwnerDraws:
+    """The Poissonized child draws of the capacity pool: per-owner counts
+    follow Poisson(lam), or Poisson(lam) conditioned on >= 1."""
+
+    @pytest.mark.parametrize("positive", [False, True], ids=["doomed", "backbone"])
+    @pytest.mark.parametrize("rho", [1.5, 2.0, 4.0])
+    def test_counts_match_pmf(self, rho, positive):
+        xi = critical.solve_xi(rho)
+        lam = rho * xi if positive else rho * (1 - xi)
+        m = 1_000_000
+        owners, picks = gw._draws(derive_stream(81, 0).generator(), lam, m, positive)
+        assert len(picks) == len(owners)
+        assert picks.min() >= 0 and picks.max() < m
+        counts = np.bincount(owners, minlength=m)
+        assert len(counts) == m
+        if positive:
+            assert counts.min() >= 1
+        hist = np.bincount(counts)
+        assert chisq_pvalue_counts_vs_probs(hist, _offspring_pmf(lam, positive, len(hist) - 1)) > 0.001
+
+    def test_no_children(self):
+        # lam*m so small that T = 0: every owner's sum is an exact zero
+        owners, picks = gw._draws(derive_stream(82, 0).generator(), 1e-12, 10)
+        assert len(owners) == len(picks) == 0
+        assert gw._child_sum((owners, picks), np.ones(10)).tolist() == [0.0] * 10
+
+    def test_single_owner_positive(self):
+        # m = 1: the lone owner is redrawn until it has a child
+        gen = derive_stream(83, 0).generator()
+        lam = 0.3
+        counts = np.array([len(gw._draws(gen, lam, 1, positive=True)[0]) for _ in range(20_000)])
+        assert counts.min() >= 1
+        hist = np.bincount(counts)
+        assert chisq_pvalue_counts_vs_probs(hist, _offspring_pmf(lam, True, len(hist) - 1)) > 0.001
+
+
 class TestCapacitySamplesGolden:
     """Pool-sampler bytes are pinned: the samples at the working and the
-    diagnostic radius must not change when the pool bookkeeping does."""
+    diagnostic radius, and the draws after them, must not change when the
+    pool bookkeeping does."""
 
     @pytest.mark.parametrize("radius, diagnostic_radius, digest", [
-        (12, 7, "ef8399a1c7515fbf81afa307b5f80e4aa80383cfbfef0f65c389850c72890fbf"),
-        (6, 1, "180a53c889026bbd922681e9ff512edfd7c6df5debd00912ef2c07d60a8fbb7d"),
-        (5, None, "ca15fa4e2094682928aba00fc9a7c8a9df541048d114857be85e80c9cf8fd8ea"),
-        (0, None, "ca421e721840435ef5b1eb1e33c89f482c50c0566523072b39de9326c8efc626"),
-    ])
+        (12, 7, "bb12dca8db89f9b74e16fc6e25c4fda3de66283c76983b503a691895197f734f"),
+        (6, 1, "e8f15daedd250fb6307cc728fae6e33a01b91c09ecd21bccdad100103966422d"),
+        (5, None, "5a47c1266674dae03699db97a3e5a69ed5a9a318dd54e0fff87b21159a71ff75"),
+        (0, None, "8af672198141944523fafb813793abdaf41bedf5d7bf4684c3857aeaafb9e413"),
+    ], ids=["radius12", "radius6", "radius5", "radius0"])
     def test_samples_unchanged(self, radius, diagnostic_radius, digest):
         s = capacity_samples(2.0, radius, 2000, derive_stream(71, 0))
         assert (s.caps_diagnostic is None) == (diagnostic_radius is None)
@@ -270,6 +324,15 @@ class TestCapacitySamplesGolden:
         if s.caps_diagnostic is not None:
             h.update(s.caps_diagnostic.tobytes())
         assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("radius, digest", [
+        (12, "cdd00acf85977d52ca12fe93e6c07919b7ae3584d9079c3b78216faea5438ce9"),
+        (0, "f5b11846c5765359826817de1c1ea84b5f63d945f41fe88c4fbf7d0d77b1cab0"),
+    ], ids=["radius12", "radius0"])
+    def test_generator_position_unchanged(self, radius, digest):
+        gen = derive_stream(71, 0).generator()
+        capacity_samples(2.0, radius, 2000, gen)
+        assert hashlib.sha256(gen.random(4).tobytes()).hexdigest() == digest
 
 
 class TestConditionedVsRejection:
