@@ -1,21 +1,14 @@
-"""The walk-that-builds-the-graph process: a random-walk-like exploration
-that samples edges of the random graph the first time they are looked at,
-jumping to a uniform vertex whenever the current component is exhausted.
+"""The walk-that-builds-the-graph process on G(n, rho/n): a walk that
+steps to a uniform neighbor while its component has an unvisited vertex,
+and otherwise jumps to a uniform vertex.
 
-The unvisited vertices of this process carry a fresh random-graph law on
-their untouched pairs (the spatial Markov property), which
-``er_law_check`` uses by drawing those pairs afresh with ``sample_er``.
-
-Performance notes: the unvisited set is an array with swap-removal plus a
-position index for O(1) deletion and uniform sampling; per-step edge
-exploration skips over the unvisited array with geometric gaps, so one
-step costs O(newly opened edges) amortized. A vertex explores all its
-pending edges the first time it becomes current, and every visited vertex
-has been current, so pending edges at the current vertex are exactly
-those toward currently-unvisited vertices. Edges are sampled only there,
-so every explored edge of an unvisited vertex leads to a visited one: the
-frontier is the set of unvisited vertices with an explored edge, and no
-flag array is kept, only its size.
+The graph is sampled up front and labelled once. The walk reads only
+edges with a visited endpoint, since a component has an unvisited vertex
+exactly when one of its visited vertices has an unvisited neighbor, so
+this has the law of the process that samples a vertex's edges on its
+first visit. Its unvisited vertices therefore carry a fresh G(k, rho/n)
+law on their pairs (the spatial Markov property), which ``er_law_check``
+tests on the graph the exploration explored.
 """
 
 from __future__ import annotations
@@ -30,7 +23,7 @@ import numpy as np
 from . import critical, walk
 from ._gof import chisq_pvalue_counts_vs_probs
 from .engine import RngStream, as_generator, ks_uniform_pvalue, run_trials
-from .random_graph import edge_probability, sample_er
+from .random_graph import Graph, components, edge_probability, graph_from_edges, sample_er
 
 # _uniforms draws blocks of 16, 32, ... uniforms up to _BLOCK, so a short
 # exploration does not pay for thousands of draws it never uses.
@@ -47,122 +40,76 @@ def _uniforms(gen: np.random.Generator) -> Iterator[float]:
 
 @dataclass
 class ExplorationState:
-    """Live state of the exploring process at time ``step``. A vertex is
-    visited exactly when it is missing from ``_unvisited`` (its
-    ``_position`` is -1)."""
+    """Live state of the exploring process at time ``step`` on its
+    ``graph``; it is covered when ``unvisited_count`` is 0.
+    ``_unvisited_in[c]`` counts the unvisited vertices of component c; the
+    adjacency and labels are Python lists, made once per state for the
+    step loop."""
 
-    n: int
-    p: float
+    graph: Graph
     step: int
     current: int
-    explored_adjacency: list
-    frontier_count: int
     jumps: int
-    _unvisited: list = field(repr=False)
-    _position: list = field(repr=False)
+    unvisited_count: int
+    _visited: list = field(repr=False)
+    _label: list = field(repr=False)
+    _unvisited_in: list = field(repr=False)
+    _indptr: list = field(repr=False)
+    _indices: list = field(repr=False)
     _draw: Iterator[float] = field(repr=False)
-    _log1mp: float = field(repr=False, default=0.0)
-
-    @property
-    def unvisited_count(self) -> int:
-        return len(self._unvisited)
-
-    @property
-    def covered(self) -> bool:
-        return not self._unvisited
-
-
-def _visit(state: ExplorationState, v: int) -> None:
-    """First visit of v: swap-remove it from the unvisited list, then
-    sample its pending edges, one Bernoulli(p) per still-unvisited vertex,
-    via geometric gap skipping."""
-    unvisited = state._unvisited
-    pos = state._position[v]
-    last = unvisited[-1]
-    unvisited[pos] = last
-    state._position[last] = pos
-    unvisited.pop()
-    state._position[v] = -1
-    adj = state.explored_adjacency
-    if adj[v]:  # v was on the frontier
-        state.frontier_count -= 1
-    count = len(unvisited)
-    if count == 0 or state.p <= 0.0:
-        return
-    if state.p >= 1.0:
-        hits = list(unvisited)
-    else:
-        hits = []
-        log1mp = state._log1mp
-        draw = state._draw
-        i = -1
-        while True:
-            i += 1 + int(math.log(1.0 - next(draw)) / log1mp)
-            if i >= count:
-                break
-            hits.append(unvisited[i])
-    adj[v].extend(hits)
-    for w in hits:
-        if not adj[w]:  # w joins the frontier
-            state.frontier_count += 1
-        adj[w].append(v)
 
 
 def new_exploration(n: int, rho: float, rng) -> ExplorationState:
-    """Fresh exploration: a uniform starting vertex, visited, with its
-    edges already sampled."""
-    p = edge_probability(n, rho)
+    """Fresh exploration: G(n, rho/n), then a uniform starting vertex,
+    visited, both drawn from one generator."""
     gen = as_generator(rng)
+    g = sample_er(n, rho, gen)
+    labeling = components(g)
     start = int(gen.integers(0, n))
-    # the start goes last, so removing it leaves the others in vertex order
-    unvisited = list(range(start)) + list(range(start + 1, n)) + [start]
-    position = list(range(n))
-    position[start + 1:] = range(start, n - 1)
-    position[start] = n - 1
-    state = ExplorationState(
-        n=n,
-        p=p,
+    label = labeling.label.tolist()
+    unvisited_in = labeling.sizes.tolist()
+    unvisited_in[label[start]] -= 1
+    visited = [False] * n
+    visited[start] = True
+    return ExplorationState(
+        graph=g,
         step=0,
         current=start,
-        explored_adjacency=[[] for _ in range(n)],
-        frontier_count=0,
         jumps=0,
-        _unvisited=unvisited,
-        _position=position,
+        unvisited_count=n - 1,
+        _visited=visited,
+        _label=label,
+        _unvisited_in=unvisited_in,
+        _indptr=g.indptr.tolist(),
+        _indices=g.indices.tolist(),
         _draw=_uniforms(gen),
-        _log1mp=math.log1p(-p) if 0.0 < p < 1.0 else 0.0,
     )
-    _visit(state, start)
-    return state
-
-
-def advance(state: ExplorationState) -> bool:
-    """One step: move to a uniform open neighbor of the current vertex or,
-    when it has none or no unvisited vertex touches an open edge, jump to a
-    uniform vertex; a vertex reached for the first time samples its
-    pending edges. Returns False as a no-op flag when the state is already
-    covered."""
-    if state.covered:
-        return False
-    neighbors = state.explored_adjacency[state.current]
-    if neighbors and state.frontier_count > 0:
-        nxt = neighbors[int(next(state._draw) * len(neighbors))]
-    else:
-        nxt = int(next(state._draw) * state.n)
-        state.jumps += 1
-    if state._position[nxt] >= 0:
-        _visit(state, nxt)
-    state.current = nxt
-    state.step += 1
-    return True
 
 
 def run_to(state: ExplorationState, t: int) -> ExplorationState:
-    """Advance until step == t or the state is covered."""
+    """Advance until step == t or the state is covered. Each step moves to
+    a uniform neighbor while the current component has an unvisited
+    vertex, and otherwise jumps to a uniform vertex."""
     if t < state.step:
         raise ValueError("cannot advance backwards")
-    while state.step < t and not state.covered:
-        advance(state)
+    n = state.graph.n
+    indptr, indices = state._indptr, state._indices
+    visited, label, unvisited_in = state._visited, state._label, state._unvisited_in
+    draw = state._draw
+    cur, step, jumps, left = state.current, state.step, state.jumps, state.unvisited_count
+    while step < t and left:
+        if unvisited_in[label[cur]]:
+            lo = indptr[cur]
+            cur = indices[lo + int(next(draw) * (indptr[cur + 1] - lo))]
+        else:
+            cur = int(next(draw) * n)
+            jumps += 1
+        step += 1
+        if not visited[cur]:
+            visited[cur] = True
+            left -= 1
+            unvisited_in[label[cur]] -= 1
+    state.current, state.step, state.jumps, state.unvisited_count = cur, step, jumps, left
     return state
 
 
@@ -194,17 +141,19 @@ def _binomial_pit(k: int, m: int, p: float, unif: float) -> float:
 
 
 def _er_trial(n: int, rho: float, t: int, stream: RngStream) -> tuple:
-    """One exploration to time t and a fresh draw of its vacant graph:
-    the vacant vertex count k, the randomized PIT of the vacant graph's
-    edge count and its degree histogram (both None when p = 0 or k < 2)."""
+    """One exploration to time t and its vacant graph, the explored graph
+    induced on the unvisited vertices: the vacant vertex count k, the
+    randomized PIT of the vacant graph's edge count and its degree
+    histogram (both None when p = 0 or k < 2)."""
+    p = edge_probability(n, rho)
     state = run_to(new_exploration(n, rho, stream.substream(0)), t)
     k = state.unvisited_count
-    if state.p <= 0.0 or k < 2:
+    if p <= 0.0 or k < 2:
         return k, None, None
-    gen = stream.substream(1).generator()
-    # spatial Markov property: the pairs among unvisited vertices are unexplored, so this is G(k, p)
-    vacant = sample_er(k, state.p * k, gen)
-    pit = _binomial_pit(vacant.m, k * (k - 1) // 2, state.p, float(gen.random()))
+    vacant_vertices = np.flatnonzero(np.logical_not(state._visited))
+    vacant = graph_from_edges(k, *walk._induced_edges(state.graph, vacant_vertices))
+    unif = float(stream.substream(1).generator().random())
+    pit = _binomial_pit(vacant.m, k * (k - 1) // 2, p, unif)
     return k, pit, np.bincount(vacant.degrees())
 
 
@@ -212,7 +161,7 @@ def er_law_check(n: int, rho: float, u: float, n_trials: int, root: RngStream) -
     """Statistical check of the vacant graph's edge law.
 
     Runs ``n_trials`` explorations to walk_time(u) + default_burn_in(n)
-    (only the burn-in when rho <= 1, where u must be 0), draws each one's
+    (only the burn-in when rho <= 1, where u must be 0), reads each one's
     vacant graph, and tests (i) per-trial edge counts against their
     binomial law, pooled through a randomized PIT into a KS-uniformity
     p-value, and (ii) the pooled degree histogram against the per-trial
@@ -220,11 +169,9 @@ def er_law_check(n: int, rho: float, u: float, n_trials: int, root: RngStream) -
     vertex fraction and the mean vacant-graph degree, the quantity whose
     crossing of 1 locates the critical intensity.
 
-    The p-values do not test the exploration: each trial draws the vacant
-    edges fresh with ``sample_er(k, p*k)``, so they are uniform by
-    construction and check ``sample_er``, not the spatial Markov
-    property. The exploration's law is checked by the test suite's
-    ``TestAnnealedEquivalence`` and acceptances 07 and 10.
+    The p-values test the exploration itself: each trial's vacant graph
+    is the graph it explored, induced on its unvisited vertices, and by
+    the spatial Markov property it is G(k, rho/n) given its vertex count.
 
     Trials run through ``engine.run_trials``: trial i draws only from its
     own stream, so any trial replays alone and the report is identical

@@ -297,8 +297,12 @@ def capacity_samples(rho: float, radius: int, n_samples: int, rng) -> CapacitySa
     level-k pool of its type: Poisson(rho*(1-xi)) doomed children, plus
     positive-Poisson(rho*xi) backbone children for a backbone node. The
     root's draws are made once and serve both radii. Pool resampling
-    introduces an O(1/n_samples) correlation between samples, negligible
-    against the reported Monte Carlo error at the default sample sizes.
+    correlates the samples by O(1/n_samples) per pair, which summed over
+    all pairs inflates the variance of their mean by O(1): over 100 seeds
+    of 2e4 trees at radius 40, the z-score of F(0.3) against its density
+    evolution value 0.784374 had sd 1.19-1.30, so the standard error of
+    ``functional`` (and the intervals built on it) is likely 15-30 % too
+    narrow.
     Only the current level's pools and the diagnostic level's are kept.
     """
     if rho <= 1.0:

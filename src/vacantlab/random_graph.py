@@ -110,7 +110,8 @@ def sample_er(n: int, rho: float, rng) -> Graph:
     independently with probability rho/n.
 
     Generation skips over the lexicographic edge enumeration with
-    geometric gaps, so cost is O(n + m) rather than O(n^2).
+    geometric gaps, so cost is O(n + m) rather than O(n^2); at p = 1
+    every gap is 1, so the complete graph needs no separate path.
     """
     p = edge_probability(n, rho)
     gen = as_generator(rng)
@@ -118,10 +119,6 @@ def sample_er(n: int, rho: float, rng) -> Graph:
     if p <= 0.0 or total == 0:
         empty = np.zeros(0, dtype=np.int64)
         return graph_from_edges(n, empty, empty)
-    if p >= 1.0:
-        k = np.arange(total, dtype=np.int64)
-        i, j = _pair_from_index(k, n)
-        return graph_from_edges(n, i, j)
     hits = []
     pos = -1
     # expected remaining hits plus slack, so tiny graphs do not pay for a

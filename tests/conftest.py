@@ -60,15 +60,12 @@ def star_graph(leaves: int) -> Graph:
 
 def unvisited(state) -> np.ndarray:
     """Unvisited vertices of an exploration state, in ascending order."""
-    return np.array(sorted(state._unvisited), dtype=np.int64)
+    return np.flatnonzero(~visited_mask(state))
 
 
 def visited_mask(state) -> np.ndarray:
-    """Visited vertices of an exploration state as a boolean mask: every
-    vertex not in its unvisited list."""
-    mask = np.ones(state.n, dtype=bool)
-    mask[unvisited(state)] = False
-    return mask
+    """Visited vertices of an exploration state as a boolean mask."""
+    return np.array(state._visited, dtype=bool)
 
 
 def xi_fixed_point_oracle(rho: float, iters: int = 400) -> float:

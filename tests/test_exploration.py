@@ -11,7 +11,6 @@ from vacantlab import critical, exploration, walk
 from vacantlab._gof import chisq_pvalue_two_sample
 from vacantlab.engine import derive_stream
 from vacantlab.exploration import (
-    advance,
     er_law_check,
     new_exploration,
     run_to,
@@ -19,28 +18,40 @@ from vacantlab.exploration import (
 from vacantlab.random_graph import sample_er
 
 
+def step(state):
+    """Advance one step, or none once the state is covered."""
+    return run_to(state, state.step + 1)
+
+
+def run_to_cover(state):
+    while state.unvisited_count:
+        step(state)
+    return state
+
+
 def assert_states_equal(a, b):
     assert a.step == b.step
     assert a.current == b.current
     assert a.jumps == b.jumps
-    assert a.covered == b.covered
+    assert a.unvisited_count == b.unvisited_count
     assert np.array_equal(visited_mask(a), visited_mask(b))
-    assert a.explored_adjacency == b.explored_adjacency
+    for x, y in zip(a.graph.edge_arrays, b.graph.edge_arrays):
+        assert np.array_equal(x, y)
 
 
 class TestBasics:
     def test_single_vertex_covered_immediately(self):
         state = new_exploration(1, 0.0, derive_stream(1, 0))
-        assert state.covered
-        assert state.frontier_count == 0
-        assert not advance(state)  # no-op flag on covered state
+        assert state.unvisited_count == 0
+        run_to(state, 5)  # a covered state does not move
         assert state.step == 0
+        assert state.jumps == 0
 
     def test_rho_zero_every_step_jumps(self):
         state = new_exploration(5, 0.0, derive_stream(1, 1))
         steps = 0
-        while not state.covered:
-            advance(state)
+        while state.unvisited_count:
+            step(state)
             steps += 1
             assert steps <= 50
         assert state.jumps == state.step
@@ -48,11 +59,11 @@ class TestBasics:
 
     def test_p_one_two_vertices(self):
         state = new_exploration(2, 2.0, derive_stream(1, 2))
-        advance(state)
-        assert state.covered
+        step(state)
+        assert state.unvisited_count == 0
         assert state.jumps == 0
         assert visited_mask(state).all()
-        assert sorted(state.explored_adjacency[0]) == [1]
+        assert state.graph.neighbors(0).tolist() == [1]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -61,13 +72,13 @@ class TestBasics:
             new_exploration(4, 8.0, derive_stream(1, 0))
 
     def test_initial_open_edge_count_binomial(self):
-        # v0 explores n-1 pairs at probability p
+        # the start has n-1 pairs, each an edge with probability p
         n, rho, trials = 1000, 2.0, 4000
         gen = derive_stream(2, 0).generator()
         total = 0
         for _ in range(trials):
             state = new_exploration(n, rho, gen)
-            total += len(state.explored_adjacency[state.current])
+            total += state.graph.degree(state.current)
         mean = total / trials
         expect = rho * (n - 1) / n
         band = 3 * math.sqrt(expect / trials)
@@ -92,28 +103,25 @@ class TestDeterminism:
 
 
 class TestInvariants:
-    def test_open_edges_touch_visited_and_frontier_exact(self):
-        state = new_exploration(150, 1.8, derive_stream(4, 0))
-        for _ in range(200):
-            if state.covered:
-                break
-            advance(state)
+    @pytest.mark.parametrize("n, rho, seed", [
+        (150, 1.8, 0), (60, 0.8, 3), (40, 3.0, 4), (80, 1.2, 5),
+    ])
+    def test_jumps_exactly_when_no_visited_vertex_has_unvisited_neighbor(self, n, rho, seed):
+        state = new_exploration(n, rho, derive_stream(4, seed))
+        adj = [state.graph.neighbors(v).tolist() for v in range(n)]
+        while state.unvisited_count:
             visited = visited_mask(state)
-            frontier = set()
-            for v in range(state.n):
-                for w in state.explored_adjacency[v]:
-                    assert visited[v] or visited[w]
-                    if visited[v] and not visited[w]:
-                        frontier.add(w)
-                    if visited[w] and not visited[v]:
-                        frontier.add(v)
-            assert state.frontier_count == len(frontier)
-            assert state.unvisited_count + int(visited.sum()) == state.n
+            frontier = any(not visited[w] for v in np.flatnonzero(visited) for w in adj[v])
+            before, jumps = state.current, state.jumps
+            step(state)
+            assert state.jumps - jumps == (0 if frontier else 1)
+            if frontier:
+                assert state.current in adj[before]
+            assert state.unvisited_count + int(visited_mask(state).sum()) == n
+        assert state.jumps > 0
 
     def test_coverage_visits_everything(self):
-        state = new_exploration(120, 2.0, derive_stream(4, 1))
-        while not state.covered:
-            advance(state)
+        state = run_to_cover(new_exploration(120, 2.0, derive_stream(4, 1)))
         assert visited_mask(state).all()
         assert state.unvisited_count == 0
 
@@ -129,7 +137,7 @@ class TestInvariants:
             new_visits = 1
             while True:
                 prev_jumps = state.jumps
-                advance(state)
+                step(state)
                 if state.jumps > prev_jumps:
                     if new_visits > n // 2:
                         break
@@ -148,19 +156,20 @@ class TestExplorationGolden:
     change when the exploration's bookkeeping does."""
 
     @pytest.mark.parametrize("n, rho, seed, t, digest", [
-        (1, 0.0, 1, 10, "03bdb7924d316193aeea63d2ec1c87c3ef98a8fcfcc672e2f0a8f706f29568fd"),
-        (6, 0.0, 2, 100, "f1805dfa2a78a250e75d4c801816a123cc0853742bce6fdc4490fbd0e11d7e72"),
-        (2, 2.0, 3, 5, "c65eef1e16e26f7dcf37076b83a0635bdc11157e6c1f453527dd4b4c2212642d"),
-        (400, 0.8, 4, 600, "a382ac673f69c06c4bf3f7dff322d8dd4897ef397ad8bb40d68527488582f25f"),
-        (500, 1.5, 5, 250, "e576ae93ab687531e3d2e468f1841d89726ea7e6c2de4041cf101d3aedebde71"),
-        (2000, 2.0, 6, 1500, "dd4aa89a77af4c31d05f6b0e11b0d41755dd1b398af546176a5d29a841e5e831"),
-        (60, 3.0, 7, 10_000, "7e837aed185b7d5d3d0f28db4420392cd0c48f7f9ccccbec66d7d63b624bdb88"),
+        (1, 0.0, 1, 10, "a694baed3224c319191506c2154bee9b4d916703a50e6731048d0884421d0d93"),
+        (6, 0.0, 2, 100, "ded95bd99835bcc9846c9228244d3239a6266891d27def37618be9ec63128f47"),
+        (2, 2.0, 3, 5, "191524084fc5d081f348c682e20e24cb0bea5fdc016a57ab5421969f35e98256"),
+        (400, 0.8, 4, 600, "2ce156854b4df1e0678e7219f1029f21e3e6ccd58b60aab5c5ee72a5ceeb4d22"),
+        (500, 1.5, 5, 250, "eeb312991547dc8094bde299a27948a13c53f6cd8aa0c31283f458f1700f47c9"),
+        (2000, 2.0, 6, 1500, "a7ee404fb84cba2e300173dfe03c5ea2fa1104dbc75b1010e4491a7b59c1534f"),
+        (60, 3.0, 7, 10_000, "04aa83542d7cae616e0e82c51f72a0dd6f6ea1312a4a720630405ed04ad4e2d9"),
     ], ids=["n1", "rho0", "n2-p1", "subcritical", "rho1.5", "rho2", "covered"])
     def test_state_unchanged(self, n, rho, seed, t, digest):
         state = run_to(new_exploration(n, rho, derive_stream(seed, 0)), t)
         h = hashlib.sha256()
-        h.update(repr((state.step, state.current, state.jumps, state.covered,
-                       state.frontier_count, state.explored_adjacency)).encode())
+        h.update(repr((state.step, state.current, state.jumps, state.unvisited_count)).encode())
+        for arr in state.graph.edge_arrays:
+            h.update(arr.tobytes())
         h.update(unvisited(state).tobytes())
         assert h.hexdigest() == digest
 
@@ -172,34 +181,33 @@ class TestGeneratorConsumption:
 
     @pytest.mark.parametrize("n, rho, seed, t, digest", [
         (1, 0.0, 1, 5, "3db849997dc95ed2835cdd3792eb2e15c42433ccb72d626ca483c6ddfb76d245"),
-        (2, 2.0, 3, 5, "2a50fe3f6982ba41ba84346f63f5a02651b3cdbd635c5396971b98516785c7e0"),
-        (400, 0.8, 4, 600, "ab7449556ac56b8d8927cab6bc5d3c3cc725cba24715f27cbf4ff547f7dde4fd"),
-        (2000, 2.0, 6, 1500, "da9cff84addc3f4309dac010ad923b091dd638527f35183494ef080cb9c5bb6a"),
-        (60, 3.0, 7, 10_000, "a0019f98fd331ad01202e6e310c7397f0a72e5f146ef73bd73070364573aedde"),
+        (2, 2.0, 3, 5, "f3dc429e80197314aac7097a8c2d22bd7a070b592ea4d00b7fa4df5cc95b5ecf"),
+        (400, 0.8, 4, 600, "cb4cb315028d81abf966c818add5cfe8163e8a41738bc8efd364c124308fe9a5"),
+        (2000, 2.0, 6, 1500, "546bce3c038f23caa99825b757874b24f248f5b72adf13497f720c4a9af81701"),
+        (60, 3.0, 7, 10_000, "5ec69d5377e8e1fbac28fb425bfb13660708b8965c36c5d356e981c8c0cd6013"),
     ], ids=["n1", "n2-p1", "subcritical", "rho2", "covered"])
     def test_draws_unchanged(self, n, rho, seed, t, digest):
         gen = derive_stream(seed, 0).generator()
         state = run_to(new_exploration(n, rho, gen), t)
         h = hashlib.sha256(repr((state.step, state.current, state.jumps,
-                                 state.frontier_count)).encode())
+                                 state.unvisited_count)).encode())
         h.update(gen.random(4).tobytes())
         assert h.hexdigest() == digest
 
 
 class TestAnnealedEquivalence:
     def test_joint_law_matches_sample_then_walk(self):
-        # (final graph, trajectory prefix) under the exploring process vs
+        # (graph, trajectory prefix) under the exploring process vs
         # sampling the graph first and running the covered-jumping walk
         n, rho, prefix, samples = 3, 1.2, 3, 150_000
         gen_a = derive_stream(5, 0).generator()
         gen_b = derive_stream(5, 1).generator()
         pairs = [(0, 1), (0, 2), (1, 2)]
 
-        def graph_mask_from_adjacency(adj):
+        def graph_mask(g):
             mask = 0
-            for b, (x, y) in enumerate(pairs):
-                if y in adj[x]:
-                    mask |= 1 << b
+            for x, y in zip(*(e.tolist() for e in g.edge_arrays)):
+                mask |= 1 << pairs.index((x, y))
             return mask
 
         def cell(graph_mask, traj):
@@ -213,21 +221,16 @@ class TestAnnealedEquivalence:
         for _ in range(samples):
             state = new_exploration(n, rho, gen_a)
             traj = [state.current]
-            while not state.covered and state.step < prefix:
-                advance(state)
-                traj.append(state.current)
-            while len(traj) <= prefix:
-                traj.append(-1)
-            while not state.covered:
-                advance(state)
-            counts_a[cell(graph_mask_from_adjacency(state.explored_adjacency), traj)] += 1
+            while state.unvisited_count and state.step < prefix:
+                traj.append(step(state).current)
+            traj += [-1] * (prefix + 1 - len(traj))
+            counts_a[cell(graph_mask(state.graph), traj)] += 1
 
         counts_b = np.zeros(n_cells, dtype=np.int64)
         for _ in range(samples):
             g = sample_er(n, rho, gen_b)
-            adj = [g.neighbors(v).tolist() for v in range(n)]
             traj = fixed_graph_covering_walk(g, prefix, gen_b)
-            counts_b[cell(graph_mask_from_adjacency(adj), traj)] += 1
+            counts_b[cell(graph_mask(g), traj)] += 1
 
         assert chisq_pvalue_two_sample(counts_a, counts_b) > 0.001
 
@@ -241,9 +244,7 @@ class TestVacantSnapshot:
         assert state.step == 0
 
     def test_covered_state_empty(self):
-        state = new_exploration(30, 1.5, derive_stream(6, 2))
-        while not state.covered:
-            advance(state)
+        state = run_to_cover(new_exploration(30, 1.5, derive_stream(6, 2)))
         assert len(unvisited(state)) == 0
         assert state.unvisited_count == 0
 
@@ -274,6 +275,20 @@ class TestErLawCheck:
         assert report.mean_vacant_mean_degree == pytest.approx(
             report.mean_vacant_fraction * 2.0)
 
+    def test_trial_reads_the_explored_graph(self):
+        # a trial's vacant graph is the explored graph induced on its
+        # unvisited vertices, not a fresh draw of G(k, p)
+        n, rho, t = 400, 2.0, 150
+        for i in range(5):
+            stream = derive_stream(7, 10 + i)
+            k, _, hist = exploration._er_trial(n, rho, t, stream)
+            state = run_to(new_exploration(n, rho, stream.substream(0)), t)
+            vacant = set(unvisited(state).tolist())
+            induced = sum(a in vacant and b in vacant
+                          for a, b in zip(*(e.tolist() for e in state.graph.edge_arrays)))
+            assert k == len(vacant)
+            assert int(np.arange(len(hist)) @ hist) == 2 * induced
+
     def test_burn_in_default_value(self):
         assert exploration.default_burn_in(100_000) == math.ceil(math.log(100_000) ** 3)
 
@@ -283,10 +298,10 @@ class TestErLawGolden:
     change when the way it is made from the exploration does."""
 
     @pytest.mark.parametrize("n, rho, u, seed, digest", [
-        (300, 2.0, 0.3, 1, "eed8e9b10771c52f44210aa4e7b8804599f9e63f9c6052d46264ca01a98352f1"),
-        (200, 0.8, 0.0, 2, "448d33c18ad461c43a5d86511033dcdd1b82668ae5b2d806167b9849613763ba"),
-        (12, 3.0, 0.0, 3, "2b2c392264838b09dc8bf7414b88f5a96e1c0fa495cb13c21dd7042089570e62"),
-        (6, 1.5, 0.0, 4, "fd028d87bfdb69a572e7b63f3962656dc65050b2946c82a828c8ad523a5696dd"),
+        (300, 2.0, 0.3, 1, "35b5ae35dc33ede8cd5fa006c51222f03993976b36551c93f893c0492764f539"),
+        (200, 0.8, 0.0, 2, "afffab844cc63a8d1daa1053115751d927774527be1855d294d93966c7b6b637"),
+        (12, 3.0, 0.0, 3, "4a3c3ba717eedec25eb19d38e1ae831682589b3fdd8646af0f164469038870f9"),
+        (6, 1.5, 0.0, 4, "2e9ff7e9e031e026d868e18aebb0bbeee8b628ac2c95744ab38ab35f50bd82df"),
         (100, 0.0, 0.0, 5, "67329508f25ef49747458acfb7cddd33550f4ffa04af6e90405f2ad9e884c10a"),
     ], ids=["supercritical", "subcritical", "few-vacant", "n6", "rho0"])
     def test_report_unchanged(self, n, rho, u, seed, digest):
