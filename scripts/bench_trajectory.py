@@ -1,18 +1,21 @@
 """Record one point of vacantlab's performance trajectory: BENCH_<short-rev>.json.
 
-    python3 scripts/bench_trajectory.py [--tier1] [CHECKOUT_OR_REV ...]
+    python3 scripts/bench_trajectory.py [--tier1] [--pairs N] [CHECKOUT_OR_REV ...]
 
 Each argument is a git checkout directory or a revision of this repository;
 a revision is cloned into a temporary directory and measured there. With no
 argument the repository holding this script is measured. With several, the
 measurements alternate between them (every workload runs once per checkout,
-the order flipping from one workload to the next), so a parent and a change
-measured together share the machine's drift.
+the order flipping from one workload to the next and from one repetition to
+the next), so a parent and a change measured together share the machine's
+drift. ``--pairs N`` repeats that loop over the workloads N times (default
+1), which gives N parent/change pairs of every workload.
 
 Per checkout the file records:
 
-- each workload's info and result lines from ``perfbench/run.py --trace 0``
-  (end-to-end metrics, run length from ``BENCHMARK.json``);
+- per workload, the info and result lines of every ``perfbench/run.py
+  --trace 0`` run (end-to-end metrics, run length from ``BENCHMARK.json``),
+  and each metric's median and quartiles over the successful runs;
 - the wall time and peak RSS of ``import vacantlab`` in a fresh interpreter,
   median over several runs;
 - with ``--tier1``, the wall time, exit code and summary line of the Tier-1
@@ -96,6 +99,20 @@ def perfbench(root: Path, workload: str) -> dict:
     return {"info": json.loads(lines[-2]), "result": json.loads(lines[-1])}
 
 
+def summary(runs: list[dict]) -> dict:
+    """Median, quartiles and count of each end-to-end metric over the runs
+    that produced a result."""
+    values: dict[str, list[float]] = {}
+    for run in runs:
+        for name, metric in run.get("result", {}).get("metrics", {}).items():
+            values.setdefault(name, []).append(metric["value"])
+    out = {}
+    for name, xs in values.items():
+        q1, median, q3 = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else xs * 3
+        out[name] = {"median": median, "q1": q1, "q3": q3, "runs": len(xs)}
+    return out
+
+
 def durations(lines: list[str]) -> list[str]:
     """The lines of pytest's ``slowest N durations`` section, one per test
     phase, such as ``23.91s call     tests/test_acceptance.py::test_04...``."""
@@ -126,7 +143,11 @@ def main() -> int:
     p.add_argument("checkouts", nargs="*", default=[str(REPO)],
                    help="checkout directories or git revisions (default: this repository)")
     p.add_argument("--tier1", action="store_true", help="also time the Tier-1 test suite")
+    p.add_argument("--pairs", type=int, default=1,
+                   help="repetitions of the alternating workload loop (default 1)")
     args = p.parse_args()
+    if args.pairs < 1:
+        p.error("--pairs must be positive")
 
     tmp = Path(tempfile.mkdtemp(prefix="bench_trajectory_"))
     try:
@@ -136,7 +157,8 @@ def main() -> int:
             rev = git(root, "rev-parse", "HEAD")
             dirty = git(root, "status", "--porcelain", "--untracked-files=no",
                         "--", "src", "tests", "perfbench") != ""
-            points.append({"git_rev": rev, "dirty": dirty, "workloads": {}})
+            points.append({"git_rev": rev, "dirty": dirty,
+                           "workloads": {w: {"runs": []} for w in WORKLOADS}})
         measured_with = [pt["git_rev"] for pt in points]
 
         def alternating(i: int):
@@ -145,10 +167,15 @@ def main() -> int:
 
         for root, pt in alternating(0):
             pt["import_vacantlab"] = import_time(root, tmp)
-        for i, workload in enumerate(WORKLOADS):
-            for root, pt in alternating(i + 1):
-                print(f"{pt['git_rev'][:7]} {workload}", file=sys.stderr, flush=True)
-                pt["workloads"][workload] = perfbench(root, workload)
+        for k in range(args.pairs):
+            for i, workload in enumerate(WORKLOADS):
+                for root, pt in alternating(i + 1 + k):
+                    print(f"{pt['git_rev'][:7]} {workload} {k + 1}/{args.pairs}", file=sys.stderr,
+                          flush=True)
+                    pt["workloads"][workload]["runs"].append(perfbench(root, workload))
+        for pt in points:
+            for entry in pt["workloads"].values():
+                entry["summary"] = summary(entry["runs"])
         if args.tier1:
             for root, pt in alternating(len(WORKLOADS) + 1):
                 print(f"{pt['git_rev'][:7]} tier1", file=sys.stderr, flush=True)
@@ -159,7 +186,7 @@ def main() -> int:
     machine = {"nproc": len(os.sched_getaffinity(0)), "platform": platform.platform(),
                "python": platform.python_version()}
     for pt in points:
-        pt.update(machine=machine, seed=SEED, measured_with=measured_with,
+        pt.update(machine=machine, seed=SEED, pairs=args.pairs, measured_with=measured_with,
                   date=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()))
         path = REPO / f"BENCH_{pt['git_rev'][:7]}.json"
         path.write_text(json.dumps(pt, indent=1) + "\n")

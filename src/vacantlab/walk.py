@@ -15,6 +15,9 @@ from .random_graph import ComponentLabeling, Graph, _label
 
 DENSE_SPECTRAL_CAP = 5000
 _BLOCK = 1 << 15
+_STOP_BIT = np.int64(-1 << 63)
+_FIELDS = np.int64((1 << 63) - 1)
+_LOW32 = np.uint64(0xFFFFFFFF)
 
 
 def walk_time(u: float, rho: float, xi: float, n: int) -> int:
@@ -157,28 +160,37 @@ def vacant_components(g: Graph, vac: np.ndarray) -> ComponentLabeling:
     return _label(len(vac), *_induced_edges(g, vac))
 
 
-def _step_all(g_indptr, g_indices, deg, cur, gen) -> np.ndarray:
-    offs = (gen.random(len(cur)) * deg[cur]).astype(np.int64)
-    return g_indices[g_indptr[cur] + offs]
-
-
 def _killed_walks(g: Graph, starts: np.ndarray, target: np.ndarray, cap: int | None,
                   gen, *, start_counts: bool) -> tuple[np.ndarray, np.ndarray]:
     """Step every walker from ``starts`` and record its first hit of each
     target j, the vertices v with ``target[v] == j`` (-1 elsewhere). A
     walker dies once it has hit every target, or at ``cap`` steps (None:
-    no cap).
+    no cap). No walker may stand on a vertex of degree 0 when it steps.
 
     With ``start_counts`` a walker hits the targets its start lies in at
     step 0, and one whose start covers every target draws nothing;
-    without it only steps >= 1 count (a return time). The per-step test is
-    one boolean gather; the target index is read only for walkers that
-    landed on a target.
+    without it only steps >= 1 count (a return time).
+
+    A walker's state is a slot into one int64 word array: slot j < 2m
+    stands for vertex ``indices[j]`` and slot 2m + v for a start at v. The
+    word of a slot's vertex holds its CSR row start in bits 32-62, its
+    degree in bits 0-31 and, in the sign bit, whether it is a target, so
+    row starts must stay below 2**31 and degrees below 2**32. A step draws
+    one uint32 r per live walker, in walker order, two to each 64-bit
+    output of the bit generator (low half first on a little-endian
+    machine), and moves to slot row start + (r * degree >> 32), a
+    multiply-shift choice: each neighbour's chance is within 2**-32 of
+    1/degree, a relative bias of at most degree/2**32. The step is one
+    gather of the new words and one sign test; vertex ids are decoded only
+    for walkers that land on a target, and at the end.
 
     Returns the first-hit steps, one row per walker and one column per
-    target (-1 if not hit by the cap), and each walker's last vertex. One
-    uniform per live walker per step, in walker order.
+    target (-1 if not hit by the cap), and each walker's last vertex.
     """
+    indptr, indices = g.indptr, g.indices
+    two_m = len(indices)
+    if two_m >= 1 << 31:
+        raise ValueError("graph too large for the killed-walk kernel: 2m must be below 2**31")
     k = int(target.max()) + 1
     stop = target >= 0
     times = np.full((len(starts), k), -1, dtype=np.int64)
@@ -187,26 +199,38 @@ def _killed_walks(g: Graph, starts: np.ndarray, target: np.ndarray, cap: int | N
         times[at, target[starts[at]]] = 0
     left = (times < 0).sum(axis=1)
     flat = times.reshape(-1)  # a view: walker w, target j at w * k + j
+    vertex_word = (indptr[:-1] << 32) | np.diff(indptr)
+    vertex_word[stop] |= _STOP_BIT
+    word = np.concatenate([vertex_word[indices], vertex_word])
     ends = np.array(starts, dtype=np.int64)
     alive = np.flatnonzero(left > 0)
-    cur = ends[alive]
-    indptr, indices, deg = g.indptr, g.indices, g.degrees()
+    pos = two_m + ends[alive]
+    w = word[pos] & _FIELDS
+    draw = gen.bit_generator.random_raw
     step = 0
     while len(alive) > 0 and (cap is None or step < cap):
         step += 1
-        cur = _step_all(indptr, indices, deg, cur, gen)
-        on = stop[cur]
-        if on.any():
-            w = alive[on]
-            slot = w * k + target[cur[on]]
+        r = draw((len(w) + 1) // 2).view(np.uint32)[:len(w)]
+        wu = w.view(np.uint64)
+        pos = ((wu >> 32) + ((r * (wu & _LOW32)) >> 32)).view(np.int64)
+        w = word[pos]
+        if w.min() < 0:
+            on = w < 0
+            wk, v = alive[on], indices[pos[on]]
+            slot = wk * k + target[v]
             first = flat[slot] < 0
             flat[slot[first]] = step
-            left[w[first]] -= 1
-            on[on] = left[w] == 0
-            ends[alive[on]] = cur[on]
+            left[wk[first]] -= 1
+            done = left[wk] == 0
+            ends[wk[done]] = v[done]
+            w[on] &= _FIELDS
+            on[on] = done
             keep = ~on
-            alive, cur = alive[keep], cur[keep]
-    ends[alive] = cur
+            alive, pos, w = alive[keep], pos[keep], w[keep]
+    inner = pos < two_m
+    last = pos - two_m
+    last[inner] = indices[pos[inner]]
+    ends[alive] = last
     return times, ends
 
 
@@ -219,7 +243,8 @@ def estimate_hitting_tails(g: Graph, component: np.ndarray, targets, ts, n_walks
     Each walker records its first hit of every target and is capped at
     max(ts); capped walks enter each mean as censored observations (total
     observed time / number of hits) and their fraction is reported. The
-    estimates share walks, so they are correlated across targets.
+    estimates share walks, so they are correlated across targets. Every
+    target must lie in ``component``.
     """
     if n_walks < 1:
         raise ValueError("n_walks must be positive")
@@ -229,6 +254,8 @@ def estimate_hitting_tails(g: Graph, component: np.ndarray, targets, ts, n_walks
     targets = np.asarray(targets, dtype=np.int64)
     if len(np.unique(targets)) < len(targets):
         raise ValueError("targets must be distinct")
+    if not np.isin(targets, component).all():
+        raise ValueError("every target must lie in the component")
     gen = as_generator(rng)
     cap = int(ts[-1])
     starts = _stationary_starts(g, component, n_walks, gen)

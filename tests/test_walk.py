@@ -249,6 +249,17 @@ class TestHittingTail:
             assert est.tail.tolist() == twin.tail.tolist()
             assert (est.mean_hitting, est.censored_fraction) == (twin.mean_hitting, twin.censored_fraction)
 
+    def test_targets_outside_component_rejected(self):
+        # a walker on the isolated vertex 0 would read vertex 1's neighbour
+        # list and "hit" vertex 2, which it cannot reach
+        g = build_graph(3, [(1, 2)])
+        with pytest.raises(ValueError, match="lie in the component"):
+            estimate_hitting_tail(g, np.array([0]), 2, [1, 5], 10, derive_stream(1, 0))
+        # a target outside a larger component would be all-censored
+        g = build_graph(5, [(0, 1), (1, 2), (3, 4)])
+        with pytest.raises(ValueError, match="lie in the component"):
+            estimate_hitting_tails(g, np.array([0, 1, 2]), [1, 3], [1, 5], 10, derive_stream(1, 1))
+
     def test_censoring_reported(self):
         g = cycle_graph(50)
         comp = whole_component(g)
@@ -276,14 +287,14 @@ class TestHittingTail:
 
 
 class TestKilledWalkGolden:
-    """Hitting-tail bytes are pinned: the killed-walk kernel must draw and
-    stop exactly as the dedicated hitting loop it replaced did."""
+    """Hitting-tail bytes are pinned: the killed-walk kernel's draws and
+    stop rule replay exactly."""
 
     @pytest.mark.parametrize("ts, censored, digest", [
         ([0, 1, 10, 100, 1000, 10000, 30000], 0.0,
-         "0211ef4a7d7e0a793206560062d62a48cdd8f169decca4b270a683acfd6e6a69"),
-        ([0, 10, 100, 1000], 0.474,
-         "bed0769c9136d87bae74ac1233e72dc4b4c88a404da76d0f33958333d931e054"),
+         "e61f8708032f9b39dafa389a70f02cf7f871823c2c32b10aed760052752679a2"),
+        ([0, 10, 100, 1000], 0.463,
+         "e6b760209a65d69d01c6c8df7ae754482902feabfd4cc69f67a23db47f934179"),
     ], ids=["all-hit", "censored"])
     def test_hitting_tail_unchanged(self, ts, censored, digest):
         g = sample_er(2000, 2.0, derive_stream(70, 0))
@@ -313,7 +324,72 @@ class TestEscapeGolden:
             p = est.p_escape
             assert 0.1 < p.mean < 0.5
             h.update(np.array([p.mean, p.std_error, p.ci95_low, p.ci95_high, p.n_samples]).tobytes())
-        assert h.hexdigest() == "ad1fd960956b40c72596c82ab7852eb0999a013db5289a02093a47c5a5aac2a2"
+        assert h.hexdigest() == "4aaec5bcf010bc0738fa25c0e0362135d279da6e5f4a678ef54069438bcf55b4"
+
+
+class TestKilledWalkLaw:
+    """The goldens pin bytes only; these pin the kernel's law. Each of 200
+    streams gives one estimate's z-score against the exact value, 50 for
+    each of the four highest-degree vertices (degrees 8, 7, 6, 6) of a
+    477-vertex ER(2) giant. Over 25 independent sets of 200 streams the
+    z-scores' mean spread with sd 0.06-0.07 and their sd with sd 0.04-0.05,
+    so the bands are about four of those spreads wide."""
+
+    N_WALKS = 200
+    STREAMS_PER_VERTEX = 50
+
+    @pytest.fixture(scope="class")
+    def giant(self):
+        g = sample_er(600, 2.0, derive_stream(80, 0))
+        comp = whole_component(g)
+        xs = comp[np.argsort(-g.degrees()[comp], kind="stable")[:4]].tolist()
+        return g, comp, xs
+
+    def assert_standard(self, z):
+        assert len(z) >= 200
+        assert abs(np.mean(z)) <= 0.25
+        assert abs(np.std(z, ddof=1) - 1.0) <= 0.2
+
+    def test_hitting_tail_z_scores(self, giant):
+        g, comp, xs = giant
+        t = 300  # near each vertex's median hitting time
+        z = []
+        for j, x in enumerate(xs):
+            p = float(hitting_tail_matrix_oracle(g, comp, x, [t])[0])
+            assert 0.3 < p < 0.7
+            for i in range(self.STREAMS_PER_VERTEX):
+                est = estimate_hitting_tail(g, comp, x, [t], self.N_WALKS,
+                                            derive_stream(81, j).substream(i))
+                z.append((est.tail[0] - p) / math.sqrt(p * (1 - p) / self.N_WALKS))
+        self.assert_standard(z)
+
+    def test_escape_z_scores(self, giant):
+        g, comp, xs = giant
+        z = []
+        for j, x in enumerate(xs):
+            p = escape_probability_ball_oracle(g, x, 3)
+            assert 0.2 < p < 0.8
+            for i in range(self.STREAMS_PER_VERTEX):
+                est = escape_probability(g, comp, x, 3, self.N_WALKS, derive_stream(82, j).substream(i))
+                z.append((est.p_escape.mean - p) / math.sqrt(p * (1 - p) / self.N_WALKS))
+        self.assert_standard(z)
+
+    def test_one_step_is_uniform_over_seven_neighbours(self):
+        # vertex 1 has degree 7 (not a power of two) and a nonzero row
+        # start; capped at one step, every walker ends on a neighbour
+        leaves = [0, 2, 3, 4, 5, 6, 7]
+        g = build_graph(8, [(1, v) for v in leaves])
+        target = np.full(8, -1, dtype=np.int64)
+        target[1] = 0
+        n_walks = 70_000
+        times, ends = walk._killed_walks(g, np.full(n_walks, 1, dtype=np.int64), target, 1,
+                                         derive_stream(83, 0).generator(), start_counts=False)
+        assert (times == -1).all()
+        counts = np.bincount(ends, minlength=8)
+        assert counts[1] == 0
+        expected = n_walks / len(leaves)
+        chi2 = float(((counts[leaves] - expected) ** 2 / expected).sum())
+        assert chi2 < 22.46  # the 0.999 quantile of chi-square with 6 degrees of freedom
 
 
 class TestBall:
