@@ -19,7 +19,11 @@ Per checkout the file records:
 - the wall time and peak RSS of ``import vacantlab`` in a fresh interpreter,
   median over several runs;
 - with ``--tier1``, the wall time, exit code and summary line of the Tier-1
-  suite, and its ``--durations`` report of the slowest tests.
+  suite, and its ``--durations`` report of the slowest tests;
+- the size of ``src/vacantlab/*.py``: its line count (as ``wc -l``) and,
+  read with ``ast``, its parameter count (positional, positional-only and
+  keyword-only parameters of every ``def`` and ``lambda``) and how many of
+  those parameters have a default.
 
 The files are written to the root of the repository holding this script.
 Standard library only.
@@ -28,6 +32,7 @@ Standard library only.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import os
 import platform
@@ -86,6 +91,20 @@ def import_time(root: Path, tmp: Path) -> dict:
             rss.append(usage.ru_maxrss / 1024.0)
     return {"median_s": statistics.median(secs), "peak_rss_mb": statistics.median(rss),
             "runs": len(secs)}
+
+
+def src_counts(root: Path) -> dict:
+    """Lines, parameters and defaulted parameters of ``src/vacantlab/*.py``."""
+    lines = params = defaulted = 0
+    for path in sorted((root / "src" / "vacantlab").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        lines += text.count("\n")
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params += len(a.posonlyargs) + len(a.args) + len(a.kwonlyargs)
+                defaulted += len(a.defaults) + sum(d is not None for d in a.kw_defaults)
+    return {"lines": lines, "params": params, "defaulted": defaulted}
 
 
 def perfbench(root: Path, workload: str) -> dict:
@@ -157,7 +176,7 @@ def main() -> int:
             rev = git(root, "rev-parse", "HEAD")
             dirty = git(root, "status", "--porcelain", "--untracked-files=no",
                         "--", "src", "tests", "perfbench") != ""
-            points.append({"git_rev": rev, "dirty": dirty,
+            points.append({"git_rev": rev, "dirty": dirty, "src": src_counts(root),
                            "workloads": {w: {"runs": []} for w in WORKLOADS}})
         measured_with = [pt["git_rev"] for pt in points]
 

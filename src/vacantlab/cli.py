@@ -116,7 +116,7 @@ def _cmd_solve(args) -> list[str]:
     if args.u is not None:
         est = caps.functional(args.u)
         out["functional"] = asdict(est)
-        out["zeta"] = critical.solve_zeta(args.u, args.rho, est.mean, args.tol)
+        out["zeta"] = critical.solve_zeta(args.rho, est.mean, args.tol)
     return _emit(_json(out), args.out)
 
 
@@ -303,8 +303,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         outputs = args.func(args)
         _write_manifest(args.command, args, argv, started, outputs)
-    except (ValueError, OSError, TrialError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, TrialError, MemoryError) as exc:
+        # a bare MemoryError has an empty message
+        print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return 1
     return 0
 

@@ -110,11 +110,12 @@ def solve_u_star(rho: float, functional, tol_u: float = 1e-6) -> UStarResult:
     return UStarResult(u_star=u_star, ci_low=ci_low, ci_high=ci_high)
 
 
-def solve_zeta(u: float, rho: float, functional_value: float, tol: float = DEFAULT_TOL) -> float:
+def solve_zeta(rho: float, functional_value: float, tol: float = DEFAULT_TOL) -> float:
     """Predicted giant fraction of the vacant graph: the unique solution in
     (0,1) of exp(-zeta*mu) = 1 - zeta, the survival equation ``solve_xi``
-    solves, at mean mu = rho*xi*functional_value + rho*(1-xi), while mu > 1
-    (u below the critical intensity); 0.0 when mu <= 1.
+    solves, at mean mu = rho*xi*F(u) + rho*(1-xi) with F(u) =
+    ``functional_value``, while mu > 1 (u below the critical intensity);
+    0.0 when mu <= 1.
     """
     xi = solve_xi(rho, tol)
     mu = vacant_mean_degree(rho, xi, functional_value)

@@ -171,7 +171,9 @@ def _run_one(trial_fn, stream):
 
 def run_trials(trial_fn, n_trials: int, *, root: RngStream, meanwhile=None):
     """Run ``trial_fn(stream)`` for trials 0..n_trials-1; callers bind a
-    trial's parameters with ``functools.partial``.
+    trial's parameters with ``functools.partial``. With more than one
+    worker the trial must pickle (a module-level function, or a partial of
+    one); otherwise its pickling error is raised before any worker starts.
 
     The output list is ordered by trial index and is identical for any
     degree of parallelism: trial i always receives the stream
@@ -193,15 +195,13 @@ def run_trials(trial_fn, n_trials: int, *, root: RngStream, meanwhile=None):
     workers = min(worker_cap(), n_trials)
     pool = None
     if workers > 1:
-        try:
-            pickle.dumps(trial_fn)
-        except Exception:
-            pass  # unpicklable work runs serially; results are identical
-        else:
-            # imported here: commands that never make a pool skip multiprocessing
-            from concurrent.futures import ProcessPoolExecutor
+        # an unpicklable trial raises here, before any worker starts; inside
+        # the pool, CPython 3.11 can hang the cancelling shutdown on its error
+        pickle.dumps(trial_fn)
+        # imported here: commands that never make a pool skip multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-            pool = ProcessPoolExecutor(max_workers=workers)
+        pool = ProcessPoolExecutor(max_workers=workers)
     run = partial(_run_one, trial_fn)
     try:
         # pool.map has submitted every trial when it returns; the builtin

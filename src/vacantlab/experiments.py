@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from functools import partial
 
 import numpy as np
@@ -52,8 +52,7 @@ def sweep_records_to_csv(records: list[SweepRecord]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS)
     for rec in records:
-        d = asdict(rec)
-        writer.writerow([d[c] for c in SWEEP_COLUMNS])
+        writer.writerow(astuple(rec))
     return buf.getvalue()
 
 
@@ -89,13 +88,13 @@ def sweep_vacant_structure(n: int, rho: float, u_grid, n_trials: int, root: RngS
     if any(u < 0 for u in u_grid) or sorted(u_grid) != u_grid:
         raise ValueError("u_grid must be nonnegative and ascending")
     xi = critical.solve_xi(rho)
-    t_by_u = tuple(walk.walk_time(u, rho, xi, n) for u in u_grid)
+    t_by_u = tuple(walk.walk_time(u, rho, n) for u in u_grid)
     per_trial, samples = run_trials(partial(_sweep_trial, n, rho, t_by_u), n_trials,
                                     root=root, meanwhile=caps)
     records = []
     for ui, (u, t) in enumerate(zip(u_grid, t_by_u)):
         f_u = samples.functional(u).mean
-        zeta = critical.solve_zeta(u, rho, f_u)
+        zeta = critical.solve_zeta(rho, f_u)
         for trial, (seed, giant_size, rows) in enumerate(per_trial):
             vac_size, c1, c2 = rows[ui]
             rec = SweepRecord(n=n, rho=rho, u=u, trial=trial, seed=seed, t_steps=t,
@@ -137,7 +136,7 @@ def size_relation_check(n: int, rho: float, u: float, n_trials: int,
     components, (1-xi)*n."""
     edge_probability(n, rho)  # the trials' request check, before any pool starts
     xi = critical.solve_xi(rho)
-    t = walk.walk_time(u, rho, xi, n)
+    t = walk.walk_time(u, rho, n)
     explore = partial(_size_trial, n, rho, t + exploration.default_burn_in(n), "explore")
     vbars = run_trials(explore, n_trials, root=root.substream(1))
     vs = run_trials(partial(_size_trial, n, rho, t, "walk"), n_trials, root=root.substream(2))
@@ -183,33 +182,35 @@ def hitting_and_vacancy_report(n: int, rho: float, u: float, n_vertices_probed: 
     One ensemble of stationary walks records the hitting tails of every
     distinct probed vertex, so the rows share walks and their empirical
     columns are correlated; a vertex drawn twice gives two rows with the
-    same tail. Each row's escape estimate has its own stream."""
+    same tail. Each row's escape estimate has its own stream; they are
+    drawn before the ensemble, so a rejected radius costs no ensemble."""
     if n > 100_000:
         raise ValueError("n capped at 1e5 for the probing report")
     if n_vertices_probed < 1:
         raise ValueError("n_vertices_probed must be positive")
     gen = as_generator(root.substream(3))
-    xi = critical.solve_xi(rho)
-    t = walk.walk_time(u, rho, xi, n)
+    t = walk.walk_time(u, rho, n)
     r = walk.default_ball_radius(n, rho) if radius is None else radius
     g = sample_er(n, rho, root.substream(0))
     comp = giant_vertices(components(g))
-    chosen = comp[gen.integers(0, len(comp), n_vertices_probed)]
+    chosen = comp[gen.integers(0, len(comp), n_vertices_probed)].tolist()
+    escapes = [walk.escape_probability(g, x, r, n_walks, root.substream(4, i).substream(0)).mean
+               for i, x in enumerate(chosen)]
     ts = np.unique(np.maximum(1, np.round(np.linspace(t / 10, t, 10)).astype(np.int64)))
     probed = np.unique(chosen)
     tails = walk.estimate_hitting_tails(g, comp, probed, ts, n_walks, root.substream(5))
     tail_of = dict(zip(probed.tolist(), tails))
     rows = []
-    for i, x in enumerate(chosen.tolist()):
-        esc = walk.escape_probability(g, comp, x, r, n_walks, root.substream(4, i).substream(0))
+    for x, p_escape in zip(chosen, escapes):
+        pi_x = walk.stationary_pi(g, comp, x)
         tailres = tail_of[x]
         empirical = float(tailres.tail[-1])
-        predicted = math.exp(-t * esc.p_escape.mean * esc.pi_x)
+        predicted = math.exp(-t * p_escape * pi_x)
         fit = np.exp(-tailres.ts / tailres.mean_hitting)
         ks_dist = float(np.max(np.abs(tailres.tail - fit)))
         rows.append(VertexVacancyRow(
-            vertex=x, degree=g.degree(x), pi_x=esc.pi_x,
-            p_escape=esc.p_escape.mean, empirical_vacancy=empirical,
+            vertex=x, degree=g.degree(x), pi_x=pi_x,
+            p_escape=p_escape, empirical_vacancy=empirical,
             predicted_vacancy=predicted,
             abs_error=abs(empirical - predicted),
             tail_ks_distance=ks_dist,
@@ -223,8 +224,7 @@ def exploration_mean_degree_at(n: int, rho: float, u: float, n_trials: int,
                                root: RngStream) -> float:
     """Mean vacant-graph degree |unvisited| * rho / n after exploring to
     the intensity's time plus burn-in."""
-    xi = critical.solve_xi(rho)
-    t = walk.walk_time(u, rho, xi, n) + exploration.default_burn_in(n)
+    t = walk.walk_time(u, rho, n) + exploration.default_burn_in(n)
     sizes = run_trials(partial(_size_trial, n, rho, t, "explore"), n_trials, root=root)
     return float(np.mean(sizes)) * rho / n
 

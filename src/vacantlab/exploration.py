@@ -20,10 +20,10 @@ from functools import partial
 
 import numpy as np
 
-from . import critical, walk
+from . import walk
 from ._gof import chisq_pvalue_counts_vs_probs
 from .engine import RngStream, as_generator, ks_uniform_pvalue, run_trials
-from .random_graph import Graph, components, edge_probability, graph_from_edges, sample_er
+from .random_graph import Graph, components, edge_probability, sample_er
 
 # _uniforms draws blocks of 16, 32, ... uniforms up to _BLOCK, so a short
 # exploration does not pay for thousands of draws it never uses.
@@ -151,10 +151,10 @@ def _er_trial(n: int, rho: float, t: int, stream: RngStream) -> tuple:
     if p <= 0.0 or k < 2:
         return k, None, None
     vacant_vertices = np.flatnonzero(np.logical_not(state._visited))
-    vacant = graph_from_edges(k, *walk._induced_edges(state.graph, vacant_vertices))
+    a, b = walk._induced_edges(state.graph, vacant_vertices)
     unif = float(stream.substream(1).generator().random())
-    pit = _binomial_pit(vacant.m, k * (k - 1) // 2, p, unif)
-    return k, pit, np.bincount(vacant.degrees())
+    pit = _binomial_pit(len(a), k * (k - 1) // 2, p, unif)
+    return k, pit, np.bincount(np.bincount(np.concatenate([a, b]), minlength=k))
 
 
 def er_law_check(n: int, rho: float, u: float, n_trials: int, root: RngStream) -> ErLawReport:
@@ -188,7 +188,7 @@ def er_law_check(n: int, rho: float, u: float, n_trials: int, root: RngStream) -
 
     t = default_burn_in(n)
     if rho > 1.0:
-        t += walk.walk_time(u, rho, critical.solve_xi(rho), n)
+        t += walk.walk_time(u, rho, n)
     trials = run_trials(partial(_er_trial, n, rho, t), n_trials, root=root)
     mean_fraction = float(np.mean([size for size, _, _ in trials])) / n
     mean_degree = mean_fraction * rho

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import critical
 from .engine import EstimateCI, aggregate, as_generator
 from .random_graph import ComponentLabeling, Graph, _label
 
@@ -20,19 +21,17 @@ _FIELDS = np.int64((1 << 63) - 1)
 _LOW32 = np.uint64(0xFFFFFFFF)
 
 
-def walk_time(u: float, rho: float, xi: float, n: int) -> int:
-    """Number of walk steps carrying intensity u: round(u*rho*(2-xi)*xi*n).
+def walk_time(u: float, rho: float, n: int) -> int:
+    """Number of walk steps carrying intensity u: round(u*rho*(2-xi)*xi*n),
+    where xi = ``critical.solve_xi(rho)``, which raises unless rho > 1.
 
     Round-to-nearest keeps the scaling symmetric and reproducible. Raises
     unless the product is finite and below 2**63, so that every time (and
     every time grid cast to int64) fits a signed 64-bit integer.
     """
+    xi = critical.solve_xi(rho)
     if u < 0:
         raise ValueError("u must be nonnegative")
-    if not (0.0 < xi < 1.0):
-        raise ValueError("xi must lie in (0, 1)")
-    if rho <= 1.0:
-        raise ValueError("rho must exceed 1")
     if n < 0:
         raise ValueError("n must be nonnegative")
     steps = u * rho * (2.0 - xi) * xi * n
@@ -52,23 +51,13 @@ def default_ball_radius(n: int, rho: float) -> int:
     measured choices: radius 2 from the coupling-style r = gamma*log(n)
     scaling biases the vacancy prediction by 0.06-0.1 at n = 5e4, far
     beyond the diagnostic bands, while radii in the 6-12 range keep it
-    near 0.01.
+    near 0.01. ``critical.solve_xi`` raises unless rho > 1.
     """
-    from . import critical
-
-    if rho <= 1.0:
-        raise ValueError("rho must exceed 1")
     xi = critical.solve_xi(rho)
     cap = math.floor(math.log(max(0.05 * xi * n, 8.0)) / math.log(rho))
     growth = rho * xi
     want = math.ceil(math.log(50.0) / math.log(growth)) if growth > 1.0 else cap
     return max(3, min(want, cap))
-
-
-@dataclass(frozen=True)
-class EscapeEstimate:
-    p_escape: EstimateCI
-    pi_x: float
 
 
 @dataclass(frozen=True)
@@ -188,7 +177,7 @@ def _killed_walks(g: Graph, starts: np.ndarray, target: np.ndarray, cap: int | N
     target (-1 if not hit by the cap), and each walker's last vertex.
     """
     indptr, indices = g.indptr, g.indices
-    two_m = len(indices)
+    two_m = 2 * g.m
     if two_m >= 1 << 31:
         raise ValueError("graph too large for the killed-walk kernel: 2m must be below 2**31")
     k = int(target.max()) + 1
@@ -299,7 +288,7 @@ def ball(g: Graph, x: int, r: int) -> tuple[np.ndarray, bool]:
     return np.flatnonzero(seen), len(frontier) == 0
 
 
-def escape_probability(g: Graph, component: np.ndarray, x: int, r: int, n_walks: int, rng) -> EscapeEstimate:
+def escape_probability(g: Graph, x: int, r: int, n_walks: int, rng) -> EstimateCI:
     """Monte Carlo estimate of the probability that a walk from x leaves
     the radius-r ball around x before returning to x. If the ball covers
     the whole component no walk can escape and the estimate is exactly 0."""
@@ -308,17 +297,16 @@ def escape_probability(g: Graph, component: np.ndarray, x: int, r: int, n_walks:
     if n_walks < 1:
         raise ValueError("n_walks must be positive")
     gen = as_generator(rng)
-    pi_x = stationary_pi(g, component, x)
     members, covers = ball(g, x, r)
     if covers:
-        return EscapeEstimate(p_escape=aggregate([0.0] * n_walks), pi_x=pi_x)
+        return aggregate([0.0] * n_walks)
     target = np.zeros(g.n, dtype=np.int64)
     target[members] = -1
     target[x] = 0
     # the ball has a boundary, so every walker stops almost surely
     _, ends = _killed_walks(g, np.full(n_walks, x, dtype=np.int64), target, None, gen,
                             start_counts=False)
-    return EscapeEstimate(p_escape=aggregate(ends != x), pi_x=pi_x)
+    return aggregate(ends != x)
 
 
 def spectral_gap(g: Graph, component: np.ndarray) -> float:

@@ -69,14 +69,14 @@ def test_02_zeta_boundary_identities():
     for rho in (1.5, 2.0, 3.0):
         xi = critical.solve_xi(rho, tol=1e-10)
         t0 = time.perf_counter()
-        zeta0 = critical.solve_zeta(0.0, rho, 1.0, tol=1e-10)
+        zeta0 = critical.solve_zeta(rho, 1.0, tol=1e-10)
         best = min(best, time.perf_counter() - t0)
         worst_gap = max(worst_gap, abs(zeta0 - xi))
         for fval in (1.0, 0.9, 0.7):
             mu = rho * xi * fval + rho * (1 - xi)
             if mu <= 1.0:
                 continue
-            z = critical.solve_zeta(0.5, rho, fval, tol=1e-10)
+            z = critical.solve_zeta(rho, fval, tol=1e-10)
             worst_residual = max(worst_residual, abs(math.exp(-z * mu) - (1 - z)))
     ok = worst_gap <= 2e-10 and worst_residual <= 1e-10 and best < 1e-3
     report(2, ok, f"max|zeta(0)-xi|={worst_gap:.2e} max_residual={worst_residual:.2e} "
@@ -168,7 +168,7 @@ def test_06_vacant_set_size_matches_functional(caps_rho2):
     t0 = time.perf_counter()
     results = []
     for ui, u in enumerate((0.2, 0.4)):
-        t = walk.walk_time(u, RHO, xi, n)
+        t = walk.walk_time(u, RHO, n)
         fractions = []
         for trial in range(10):
             sub = stream(6, ui, trial)
@@ -277,8 +277,8 @@ def test_12_exponential_hitting_tail():
     gen = sub.substream(1).generator()
     x = int(comp[gen.integers(0, len(comp))])
     r = walk.default_ball_radius(n, RHO)
-    esc = walk.escape_probability(g, comp, x, r, 2000, sub.substream(2))
-    scale = 1.0 / max(esc.p_escape.mean * esc.pi_x, 1e-9)
+    esc = walk.escape_probability(g, x, r, 2000, sub.substream(2))
+    scale = 1.0 / max(esc.mean * walk.stationary_pi(g, comp, x), 1e-9)
     ts = np.unique(np.round(np.linspace(0.4, 4.0, 10) * scale).astype(np.int64))
     tail = walk.estimate_hitting_tail(g, comp, x, ts, 4000, sub.substream(3))
     fit = np.exp(-tail.ts / tail.mean_hitting)

@@ -227,6 +227,32 @@ class TestCapacity:
         width = out["ci"][1] - out["ci"][0]
         assert abs(out["estimate"] - out["estimate_at_radius_minus_5"]) <= 2 * width
 
+    def test_no_truncation_diagnostic_at_radius_five(self, tmp_path):
+        # radius - 5 is no capacity radius, so the diagnostic field is null
+        res = run_cli(["capacity", "--rho", "2", "--u", "0.3", "--trees", "500",
+                       "--radius", "5", "--seed", "1"], tmp_path)
+        assert res.returncode == 0, res.stderr
+        out = json.loads(res.stdout)
+        assert '"estimate_at_radius_minus_5": null' in res.stdout
+        assert 0 < out["estimate"] < 1 and out["radius"] == 5
+
+    def test_memory_error_exits_one(self, tmp_path, monkeypatch, capsys):
+        # an allocation that fails ends in one error line, not a traceback;
+        # the real request (7 TiB at 10**12 trees) is never attempted here
+        from vacantlab import cli, gw
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(gw, "capacity_samples", no_memory)
+        monkeypatch.chdir(tmp_path)
+        argv = ["capacity", "--rho", "2", "--u", "0.3", "--trees", "1000000000000", "--seed", "1"]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: Unable to allocate 7.28 TiB for an array"]
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestOtherCommands:
     def test_size_check_runs(self, tmp_path):
@@ -248,6 +274,21 @@ class TestOtherCommands:
         assert list(out["rows"][0]) == ["vertex", "degree", "pi_x", "p_escape",
                                         "empirical_vacancy", "predicted_vacancy", "abs_error",
                                         "tail_ks_distance", "censored_fraction"]
+
+    def test_hitting_rejects_radius_before_the_ensemble(self, tmp_path, monkeypatch, capsys):
+        from vacantlab import cli, walk
+
+        def no_ensemble(*args, **kwargs):
+            raise AssertionError("hitting ensemble run for a rejected radius")
+
+        monkeypatch.setattr(walk, "estimate_hitting_tails", no_ensemble)
+        monkeypatch.chdir(tmp_path)
+        argv = ["hitting", "--n", "2000", "--rho", "2", "--u", "0.3", "--vertices", "2",
+                "--walks", "100", "--radius", "0", "--seed", "1"]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: r must be at least 1"]
 
     def test_manifest_written_for_stdout_commands(self, tmp_path):
         res = run_cli(["capacity", "--rho", "2", "--u", "0", "--trees", "100",

@@ -57,14 +57,14 @@ class TestSolveZeta:
     def test_boundary_identity_matches_xi(self):
         for rho in (1.5, 2.0, 3.0):
             xi = critical.solve_xi(rho, tol=1e-10)
-            zeta0 = critical.solve_zeta(0.0, rho, functional_value=1.0, tol=1e-10)
+            zeta0 = critical.solve_zeta(rho, functional_value=1.0, tol=1e-10)
             assert abs(zeta0 - xi) <= 2e-10
 
     def test_residual_at_solution(self):
         for rho, fval in ((2.0, 0.8), (1.5, 0.9), (3.0, 0.6)):
             xi = critical.solve_xi(rho)
             mu = rho * xi * fval + rho * (1 - xi)
-            z = critical.solve_zeta(0.5, rho, fval, tol=1e-10)
+            z = critical.solve_zeta(rho, fval, tol=1e-10)
             assert abs(math.exp(-z * mu) - (1 - z)) <= 1e-10
 
     def test_zero_at_and_below_criticality(self):
@@ -73,11 +73,11 @@ class TestSolveZeta:
         xi = critical.solve_xi(rho)
         f_critical = (1 - rho * (1 - xi)) / (rho * xi)
         assert critical.vacant_mean_degree(rho, xi, f_critical * 0.99) < 1.0
-        assert critical.solve_zeta(2.0, rho, f_critical * 0.99) == 0.0
-        assert critical.solve_zeta(2.0, rho, 0.0) == 0.0
+        assert critical.solve_zeta(rho, f_critical * 0.99) == 0.0
+        assert critical.solve_zeta(rho, 0.0) == 0.0
         assert critical.vacant_mean_degree(rho, xi, f_critical) == 1.0
-        assert critical.solve_zeta(2.0, rho, f_critical) == 0.0
-        assert critical.solve_zeta(2.0, rho, f_critical * 1.01) > 0.0
+        assert critical.solve_zeta(rho, f_critical) == 0.0
+        assert critical.solve_zeta(rho, f_critical * 1.01) > 0.0
 
     def test_decreasing_in_u_with_common_randomness(self):
         caps = gw.capacity_samples(2.0, 20, 20_000, derive_stream(55, 0))
@@ -85,7 +85,7 @@ class TestSolveZeta:
         values = []
         for u in grid:
             f = caps.functional(u).mean
-            values.append(critical.solve_zeta(u, 2.0, f))
+            values.append(critical.solve_zeta(2.0, f))
         assert all(a > b for a, b in zip(values, values[1:]))
 
 

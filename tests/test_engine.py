@@ -108,6 +108,17 @@ class TestRunTrials:
         assert str(err.value) == "trial 3 failed: RuntimeError('boom 3')"
         assert multiprocessing.active_children() == []
 
+    def test_unpicklable_trial_raises_with_a_pool(self, monkeypatch):
+        # no serial fallback: with a pool the trial must pickle, and its
+        # pickling error comes before any worker starts
+        monkeypatch.setenv(engine.THREADS_ENV_VAR, "2")
+        trial = lambda stream: stream.stream_id  # noqa: E731 - a local lambda does not pickle
+        with pytest.raises(Exception) as pickling:
+            pickle.dumps(trial)
+        with pytest.raises(type(pickling.value), match="pickle"):
+            run_trials(trial, 4, root=derive_stream(1, 0))
+        assert multiprocessing.active_children() == []
+
     @pytest.mark.parametrize("value", ["0", "abc"])
     def test_threads_env_validation(self, monkeypatch, value):
         monkeypatch.setenv(engine.THREADS_ENV_VAR, value)

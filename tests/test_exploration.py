@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import fixed_graph_covering_walk, unvisited, visited_mask
-from vacantlab import critical, exploration, walk
+from vacantlab import exploration, walk
 from vacantlab._gof import chisq_pvalue_two_sample
 from vacantlab.engine import derive_stream
 from vacantlab.exploration import (
@@ -314,8 +314,7 @@ class TestSizeRelationDirection:
     def test_exploration_leaves_more_vacant_than_walk(self):
         # the exploring process also leaves the non-giant components vacant
         n, rho, u = 3000, 2.0, 0.2
-        xi = critical.solve_xi(rho)
-        t = walk.walk_time(u, rho, xi, n)
+        t = walk.walk_time(u, rho, n)
         gen = derive_stream(8, 0).generator()
         state = new_exploration(n, rho, gen)
         run_to(state, t + exploration.default_burn_in(n))

@@ -14,6 +14,7 @@ from conftest import (
     hitting_tail_matrix_oracle,
     induced_edges_oracle,
     star_graph,
+    xi_fixed_point_oracle,
 )
 from vacantlab import walk
 from vacantlab.engine import derive_stream
@@ -38,28 +39,49 @@ def whole_component(g):
 
 class TestWalkTime:
     def test_zero_intensity(self):
-        assert walk_time(0.0, 2.0, 0.5, 100) == 0
+        assert walk_time(0.0, 2.0, 100) == 0
 
     def test_exact_arithmetic(self):
-        assert walk_time(1.0, 2.0, 0.5, 100) == 150  # 2 * 1.5 * 0.5 * 100
+        # round(u * rho * (2 - xi) * xi * n) with xi the survival probability
+        # of rho, from the fixed-point oracle; each product lies at least 1e-3
+        # from a rounding boundary, far beyond what the oracle's 1e-10 error
+        # in xi moves it (the last case rounds 8672.516 up)
+        for u, rho, n in [(1.0, 2.0, 100), (0.3, 2.0, 50_000), (2.5, 2.0, 1000),
+                          (1.0, 3.0, 1000), (0.7, 1.5, 10_000)]:
+            xi = xi_fixed_point_oracle(rho)
+            steps = u * rho * (2.0 - xi) * xi * n
+            assert abs(steps - math.floor(steps) - 0.5) > 1e-3
+            assert walk_time(u, rho, n) == math.floor(steps + 0.5)
 
     def test_reference_value(self):
-        assert abs(walk_time(1.0, 2.0, 0.796812, 100_000) - 191742) <= 1
+        assert walk_time(1.0, 2.0, 100_000) == 191743
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            walk_time(-0.1, 2.0, 0.5, 10)
+            walk_time(-0.1, 2.0, 10)
         with pytest.raises(ValueError):
-            walk_time(0.1, 2.0, 1.5, 10)
-        with pytest.raises(ValueError):
-            walk_time(0.1, 0.9, 0.5, 10)
+            walk_time(0.1, 0.9, 10)
 
     def test_time_fits_int64(self):
-        # 2**63 steps would overflow the int64 time grids; nan and inf have no step count
-        assert walk_time(2.0 ** 62, 2.0, 0.5, 1) == 2 ** 63 * 3 // 4
-        for u in (2.0 ** 63, 1e308, math.inf, math.nan):
+        # 2**63 steps would overflow the int64 time grids; the largest time
+        # below it comes back exactly, and nan and inf have no step count
+        lo, hi = 2.0 ** 62, 2.0 ** 63
+        assert walk_time(lo, 2.0, 1) < 2 ** 63
+        while math.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            try:
+                walk_time(mid, 2.0, 1)
+            except ValueError:
+                hi = mid
+            else:
+                lo = mid
+        last = walk_time(lo, 2.0, 1)
+        # floats in [2**62, 2**63) are multiples of 1024, one u-ulp moves about 2048
+        assert 2 ** 63 - 4096 <= last < 2 ** 63 and last % 1024 == 0
+        assert int(np.int64(last)) == last
+        for u in (hi, 2.0 ** 63, 1e308, math.inf, math.nan):
             with pytest.raises(ValueError, match="below 2\\*\\*63"):
-                walk_time(u, 2.0, 0.5, 4 / 3)
+                walk_time(u, 2.0, 4 / 3)
 
 
 class TestStationaryStart:
@@ -277,8 +299,8 @@ class TestHittingTail:
         gen = derive_stream(14, 1).generator()
         x = int(comp[gen.integers(0, len(comp))])
         r = walk.default_ball_radius(n, rho)
-        esc = escape_probability(g, comp, x, r, 2000, derive_stream(14, 2))
-        scale = 1.0 / max(esc.p_escape.mean * esc.pi_x, 1e-9)
+        esc = escape_probability(g, x, r, 2000, derive_stream(14, 2))
+        scale = 1.0 / max(esc.mean * walk.stationary_pi(g, comp, x), 1e-9)
         ts = np.unique(np.round(np.linspace(0.4, 3.0, 8) * scale).astype(np.int64))
         est = estimate_hitting_tail(g, comp, x, ts, n_walks, derive_stream(14, 3))
         fit = np.exp(-est.ts / est.mean_hitting)
@@ -320,8 +342,7 @@ class TestEscapeGolden:
         xs = [int(comp[0]), int(comp[len(comp) // 2]), int(comp[np.argmax(g.degrees()[comp])])]
         h = hashlib.sha256()
         for i, x in enumerate(xs):
-            est = escape_probability(g, comp, x, r, 1000, derive_stream(71, 1).substream(i))
-            p = est.p_escape
+            p = escape_probability(g, x, r, 1000, derive_stream(71, 1).substream(i))
             assert 0.1 < p.mean < 0.5
             h.update(np.array([p.mean, p.std_error, p.ci95_low, p.ci95_high, p.n_samples]).tobytes())
         assert h.hexdigest() == "4aaec5bcf010bc0738fa25c0e0362135d279da6e5f4a678ef54069438bcf55b4"
@@ -370,8 +391,8 @@ class TestKilledWalkLaw:
             p = escape_probability_ball_oracle(g, x, 3)
             assert 0.2 < p < 0.8
             for i in range(self.STREAMS_PER_VERTEX):
-                est = escape_probability(g, comp, x, 3, self.N_WALKS, derive_stream(82, j).substream(i))
-                z.append((est.p_escape.mean - p) / math.sqrt(p * (1 - p) / self.N_WALKS))
+                est = escape_probability(g, x, 3, self.N_WALKS, derive_stream(82, j).substream(i))
+                z.append((est.mean - p) / math.sqrt(p * (1 - p) / self.N_WALKS))
         self.assert_standard(z)
 
     def test_one_step_is_uniform_over_seven_neighbours(self):
@@ -430,34 +451,30 @@ class TestBall:
 class TestEscapeProbability:
     def test_er_ball_matches_harmonic_solve(self):
         g = sample_er(500, 2.0, derive_stream(72, 0))
-        comp = whole_component(g)
-        x = int(comp[0])
-        est = escape_probability(g, comp, x, 3, 20_000, derive_stream(72, 1))
+        x = int(whole_component(g)[0])
+        est = escape_probability(g, x, 3, 20_000, derive_stream(72, 1))
         exact = escape_probability_ball_oracle(g, x, 3)
         assert 0.05 < exact < 0.95
-        assert abs(est.p_escape.mean - exact) <= 4 * est.p_escape.std_error
+        assert abs(est.mean - exact) <= 4 * est.std_error
 
     def test_cycle_gamblers_ruin(self):
         g = cycle_graph(100)
-        comp = whole_component(g)
         for r in range(1, 11):
-            est = escape_probability(g, comp, 0, r, 10_000, derive_stream(9, r))
+            est = escape_probability(g, 0, r, 10_000, derive_stream(9, r))
             expect = 1.0 / (r + 1)
-            half = max(3 * est.p_escape.std_error, 0.005)
-            assert abs(est.p_escape.mean - expect) <= half
+            half = max(3 * est.std_error, 0.005)
+            assert abs(est.mean - expect) <= half
 
     def test_star_ball_covers_component(self):
         g = star_graph(6)
-        comp = whole_component(g)
-        est = escape_probability(g, comp, 0, 1, 100, derive_stream(9, 0))
+        est = escape_probability(g, 0, 1, 100, derive_stream(9, 0))
         # the ball is the whole component: every walk returns, no draw is made
-        assert est.p_escape.mean == 0.0 and est.p_escape.std_error == 0.0
+        assert est.mean == 0.0 and est.std_error == 0.0
 
     def test_single_edge_forces_return(self):
         g = build_graph(2, [(0, 1)])
-        comp = whole_component(g)
-        est = escape_probability(g, comp, 0, 1, 100, derive_stream(9, 99))
-        assert est.p_escape.mean == 0.0
+        est = escape_probability(g, 0, 1, 100, derive_stream(9, 99))
+        assert est.mean == 0.0
 
 
 class TestSpectralGap:
