@@ -2,7 +2,7 @@
 giant component of a sparse random graph, and for the critical intensity of
 the matching branching-tree model."""
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from . import critical, engine, exploration, experiments, gw, random_graph, walk
 

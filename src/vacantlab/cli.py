@@ -171,7 +171,7 @@ def _cmd_capacity(args) -> list[str]:
         "estimate": est.mean,
         "ci": [est.ci95_low, est.ci95_high],
         "estimate_at_radius_minus_5":
-            caps.functional(args.u, diagnostic=True).mean if caps.caps_diagnostic is not None else None,
+            caps.diagnostic.functional(args.u).mean if caps.diagnostic is not None else None,
         "radius": args.radius,
         "trees": args.trees,
     }

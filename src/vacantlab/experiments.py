@@ -182,8 +182,8 @@ def hitting_and_vacancy_report(n: int, rho: float, u: float, n_vertices_probed: 
     One ensemble of stationary walks records the hitting tails of every
     distinct probed vertex, so the rows share walks and their empirical
     columns are correlated; a vertex drawn twice gives two rows with the
-    same tail. Each row's escape estimate has its own stream; they are
-    drawn before the ensemble, so a rejected radius costs no ensemble."""
+    same tail. The exact escape probabilities draw nothing and are solved
+    before the ensemble, so a rejected radius costs no ensemble."""
     if n > 100_000:
         raise ValueError("n capped at 1e5 for the probing report")
     if n_vertices_probed < 1:
@@ -194,8 +194,7 @@ def hitting_and_vacancy_report(n: int, rho: float, u: float, n_vertices_probed: 
     g = sample_er(n, rho, root.substream(0))
     comp = giant_vertices(components(g))
     chosen = comp[gen.integers(0, len(comp), n_vertices_probed)].tolist()
-    escapes = [walk.escape_probability(g, x, r, n_walks, root.substream(4, i).substream(0)).mean
-               for i, x in enumerate(chosen)]
+    escapes = [walk.escape_probability(g, x, r) for x in chosen]
     ts = np.unique(np.maximum(1, np.round(np.linspace(t / 10, t, 10)).astype(np.int64)))
     probed = np.unique(chosen)
     tails = walk.estimate_hitting_tails(g, comp, probed, ts, n_walks, root.substream(5))

@@ -242,19 +242,17 @@ def regular_tree_capacity(branching: int, radius: int) -> float:
 
 @dataclass(frozen=True)
 class CapacitySamples:
-    """Coupled capacity samples at the working radius and the shortened
-    diagnostic radius, drawn from the same offspring randomness."""
+    """Capacity samples at one radius and, in ``diagnostic``, the coupled
+    samples at radius - DIAGNOSTIC_OFFSET from the same offspring
+    randomness (None if that radius is below 1, and in those samples)."""
 
     caps: np.ndarray
-    caps_diagnostic: np.ndarray | None
+    diagnostic: CapacitySamples | None
 
-    def functional(self, u: float, diagnostic: bool = False) -> EstimateCI:
+    def functional(self, u: float) -> EstimateCI:
         if u < 0:
             raise ValueError("u must be nonnegative")
-        caps = self.caps_diagnostic if diagnostic else self.caps
-        if caps is None:
-            raise ValueError("no diagnostic radius available")
-        return aggregate(np.exp(-u * caps))
+        return aggregate(np.exp(-u * self.caps))
 
 
 def _draws(gen: np.random.Generator, lam: float, m: int,
@@ -332,7 +330,7 @@ def capacity_samples(rho: float, radius: int, n_samples: int, rng) -> CapacitySa
     root_b, root_d = _draws(gen, lam_b, m, positive=True), _draws(gen, lam_d, m)
     caps = {level: _child_sum(root_b, pool_b) + _child_sum(root_d, pool_d)
             for level, (pool_b, pool_d) in levels.items()}
-    return CapacitySamples(caps=caps[radius], caps_diagnostic=caps[diag_radius] if diag_radius else None)
+    return CapacitySamples(caps[radius], CapacitySamples(caps[diag_radius], None) if diag_radius else None)
 
 
 def capacity_samples_direct(rho: float, radius: int, n_samples: int, rng) -> tuple[np.ndarray, int]:

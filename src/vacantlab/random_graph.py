@@ -135,7 +135,7 @@ def sample_er(n: int, rho: float, rng) -> Graph:
         hits.append(ks)
         pos = int(ks[-1])
         chunk = min(_GAP_CHUNK, chunk * 2)
-    k = np.concatenate(hits) if hits else np.zeros(0, dtype=np.int64)
+    k = np.concatenate(hits)
     i, j = _pair_from_index(k, n)
     return graph_from_edges(n, i, j)
 

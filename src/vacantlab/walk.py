@@ -1,6 +1,6 @@
 """Simple random walk on a fixed connected component: stationary starts,
-vacant sets at the model's time scaling and their components, hitting-time
-and escape probability estimation, and a spectral gap oracle (scipy).
+vacant sets at the model's time scaling and their components, hitting
+times, exact escape probabilities of a ball and a spectral gap oracle (scipy).
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import critical
-from .engine import EstimateCI, aggregate, as_generator
+from .engine import as_generator
 from .random_graph import ComponentLabeling, Graph, _label
 
 DENSE_SPECTRAL_CAP = 5000
@@ -19,6 +19,9 @@ _BLOCK = 1 << 15
 _STOP_BIT = np.int64(-1 << 63)
 _FIELDS = np.int64((1 << 63) - 1)
 _LOW32 = np.uint64(0xFFFFFFFF)
+# escape_probability's conjugate-gradient iteration cap and relative residual
+CG_MAX_ITER = 10_000
+CG_RTOL = 1e-12
 
 
 def walk_time(u: float, rho: float, n: int) -> int:
@@ -149,16 +152,12 @@ def vacant_components(g: Graph, vac: np.ndarray) -> ComponentLabeling:
     return _label(len(vac), *_induced_edges(g, vac))
 
 
-def _killed_walks(g: Graph, starts: np.ndarray, target: np.ndarray, cap: int | None,
-                  gen, *, start_counts: bool) -> tuple[np.ndarray, np.ndarray]:
+def _killed_walks(g: Graph, starts: np.ndarray, target: np.ndarray, cap: int, gen) -> np.ndarray:
     """Step every walker from ``starts`` and record its first hit of each
-    target j, the vertices v with ``target[v] == j`` (-1 elsewhere). A
-    walker dies once it has hit every target, or at ``cap`` steps (None:
-    no cap). No walker may stand on a vertex of degree 0 when it steps.
-
-    With ``start_counts`` a walker hits the targets its start lies in at
-    step 0, and one whose start covers every target draws nothing;
-    without it only steps >= 1 count (a return time).
+    target j, the vertices v with ``target[v] == j`` (-1 elsewhere); a start
+    on a target hits it at step 0. A walker dies once it has hit every
+    target (so one whose start covers them all draws nothing) or at ``cap``
+    steps. No walker may stand on a vertex of degree 0 when it steps.
 
     A walker's state is a slot into one int64 word array: slot j < 2m
     stands for vertex ``indices[j]`` and slot 2m + v for a start at v. The
@@ -171,10 +170,10 @@ def _killed_walks(g: Graph, starts: np.ndarray, target: np.ndarray, cap: int | N
     multiply-shift choice: each neighbour's chance is within 2**-32 of
     1/degree, a relative bias of at most degree/2**32. The step is one
     gather of the new words and one sign test; vertex ids are decoded only
-    for walkers that land on a target, and at the end.
+    for walkers that land on a target.
 
     Returns the first-hit steps, one row per walker and one column per
-    target (-1 if not hit by the cap), and each walker's last vertex.
+    target (-1 if not hit by the cap).
     """
     indptr, indices = g.indptr, g.indices
     two_m = 2 * g.m
@@ -183,21 +182,18 @@ def _killed_walks(g: Graph, starts: np.ndarray, target: np.ndarray, cap: int | N
     k = int(target.max()) + 1
     stop = target >= 0
     times = np.full((len(starts), k), -1, dtype=np.int64)
-    if start_counts:
-        at = np.flatnonzero(stop[starts])
-        times[at, target[starts[at]]] = 0
+    at = np.flatnonzero(stop[starts])
+    times[at, target[starts[at]]] = 0
     left = (times < 0).sum(axis=1)
     flat = times.reshape(-1)  # a view: walker w, target j at w * k + j
     vertex_word = (indptr[:-1] << 32) | np.diff(indptr)
     vertex_word[stop] |= _STOP_BIT
     word = np.concatenate([vertex_word[indices], vertex_word])
-    ends = np.array(starts, dtype=np.int64)
     alive = np.flatnonzero(left > 0)
-    pos = two_m + ends[alive]
-    w = word[pos] & _FIELDS
+    w = word[two_m + starts[alive]] & _FIELDS
     draw = gen.bit_generator.random_raw
     step = 0
-    while len(alive) > 0 and (cap is None or step < cap):
+    while len(alive) > 0 and step < cap:
         step += 1
         r = draw((len(w) + 1) // 2).view(np.uint32)[:len(w)]
         wu = w.view(np.uint64)
@@ -205,22 +201,16 @@ def _killed_walks(g: Graph, starts: np.ndarray, target: np.ndarray, cap: int | N
         w = word[pos]
         if w.min() < 0:
             on = w < 0
-            wk, v = alive[on], indices[pos[on]]
-            slot = wk * k + target[v]
+            wk = alive[on]
+            slot = wk * k + target[indices[pos[on]]]
             first = flat[slot] < 0
             flat[slot[first]] = step
             left[wk[first]] -= 1
-            done = left[wk] == 0
-            ends[wk[done]] = v[done]
             w[on] &= _FIELDS
-            on[on] = done
+            on[on] = left[wk] == 0
             keep = ~on
-            alive, pos, w = alive[keep], pos[keep], w[keep]
-    inner = pos < two_m
-    last = pos - two_m
-    last[inner] = indices[pos[inner]]
-    ends[alive] = last
-    return times, ends
+            alive, w = alive[keep], w[keep]
+    return times
 
 
 def estimate_hitting_tails(g: Graph, component: np.ndarray, targets, ts, n_walks: int,
@@ -250,7 +240,7 @@ def estimate_hitting_tails(g: Graph, component: np.ndarray, targets, ts, n_walks
     starts = _stationary_starts(g, component, n_walks, gen)
     target = np.full(g.n, -1, dtype=np.int64)
     target[targets] = np.arange(len(targets))
-    times, _ = _killed_walks(g, starts, target, cap, gen, start_counts=True)
+    times = _killed_walks(g, starts, target, cap, gen)
     out = []
     for j in range(len(targets)):
         hit_time = np.where(times[:, j] < 0, cap + 1, times[:, j])
@@ -288,25 +278,38 @@ def ball(g: Graph, x: int, r: int) -> tuple[np.ndarray, bool]:
     return np.flatnonzero(seen), len(frontier) == 0
 
 
-def escape_probability(g: Graph, x: int, r: int, n_walks: int, rng) -> EstimateCI:
-    """Monte Carlo estimate of the probability that a walk from x leaves
-    the radius-r ball around x before returning to x. If the ball covers
-    the whole component no walk can escape and the estimate is exactly 0."""
+def escape_probability(g: Graph, x: int, r: int) -> float:
+    """Exact probability that a walk from x leaves the radius-r ball around
+    x before returning to x (0.0 if the ball covers the component): 1 - the
+    mean over x's neighbours of h(v) = P_v[reach x before leaving], which
+    solves (D - A)h = b on the ball minus x (degrees, adjacency, edge counts
+    to x; positive definite, as each part of it touches x) by Jacobi-
+    preconditioned conjugate gradients. Raises unless the residual falls to
+    CG_RTOL * |b| within CG_MAX_ITER iterations."""
     if r < 1:
         raise ValueError("r must be at least 1")
-    if n_walks < 1:
-        raise ValueError("n_walks must be positive")
-    gen = as_generator(rng)
     members, covers = ball(g, x, r)
     if covers:
-        return aggregate([0.0] * n_walks)
-    target = np.zeros(g.n, dtype=np.int64)
-    target[members] = -1
-    target[x] = 0
-    # the ball has a boundary, so every walker stops almost surely
-    _, ends = _killed_walks(g, np.full(n_walks, x, dtype=np.int64), target, None, gen,
-                            start_counts=False)
-    return aggregate(ends != x)
+        return 0.0
+    inner = members[members != x]
+    a, b = _induced_edges(g, inner)
+    diag = g.degrees()[inner].astype(np.float64)
+    near = np.searchsorted(inner, g.neighbors(x))
+    res = np.bincount(near, minlength=len(inner)).astype(np.float64)
+    goal = CG_RTOL * np.linalg.norm(res)
+    h, p = np.zeros_like(res), res / diag
+    rz = res @ p
+    for _ in range(CG_MAX_ITER):
+        q = diag * p - np.bincount(a, p[b], len(p)) - np.bincount(b, p[a], len(p))
+        alpha = rz / (p @ q)
+        h += alpha * p
+        res -= alpha * q
+        if np.linalg.norm(res) <= goal:
+            return float(1.0 - h[near].mean())
+        z = res / diag
+        rz, rz_old = res @ z, rz
+        p = z + (rz / rz_old) * p
+    raise ValueError(f"escape solve did not converge in {CG_MAX_ITER} iterations")
 
 
 def spectral_gap(g: Graph, component: np.ndarray) -> float:

@@ -277,8 +277,8 @@ def test_12_exponential_hitting_tail():
     gen = sub.substream(1).generator()
     x = int(comp[gen.integers(0, len(comp))])
     r = walk.default_ball_radius(n, RHO)
-    esc = walk.escape_probability(g, x, r, 2000, sub.substream(2))
-    scale = 1.0 / max(esc.mean * walk.stationary_pi(g, comp, x), 1e-9)
+    esc = walk.escape_probability(g, x, r)
+    scale = 1.0 / max(esc * walk.stationary_pi(g, comp, x), 1e-9)
     ts = np.unique(np.round(np.linspace(0.4, 4.0, 10) * scale).astype(np.int64))
     tail = walk.estimate_hitting_tail(g, comp, x, ts, 4000, sub.substream(3))
     fit = np.exp(-tail.ts / tail.mean_hitting)

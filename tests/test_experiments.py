@@ -1,4 +1,5 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -121,6 +122,17 @@ class TestHittingVacancy:
     def test_size_cap(self):
         with pytest.raises(ValueError):
             hitting_and_vacancy_report(200_000, 2.0, 0.3, 2, derive_stream(44, 1))
+
+    def test_readme_rows_carry_the_exact_escape(self):
+        # the README command's report at seed 1: every row's p_escape is
+        # the exact solve on the report's own graph and radius
+        root = derive_stream(1, 0)
+        rep = hitting_and_vacancy_report(50_000, 2.0, 0.3, 20, root, n_walks=2000)
+        g = sample_er(50_000, 2.0, root.substream(0))
+        assert len(rep.rows) == 20
+        for row in rep.rows:
+            assert row.p_escape == walk.escape_probability(g, row.vertex, rep.radius)
+            assert row.predicted_vacancy == math.exp(-rep.t_steps * row.p_escape * row.pi_x)
 
     def test_repeated_probe_rows_share_one_tail(self):
         # 40 draws with replacement from a ~240-vertex giant repeat vertices;

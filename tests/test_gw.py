@@ -210,7 +210,7 @@ class TestCapacityFunctional:
         est = caps.functional(0.0)
         assert est.mean == 1.0
         assert est.std_error == 0.0
-        assert caps.functional(0.0, diagnostic=True).mean == 1.0
+        assert caps.diagnostic.functional(0.0).mean == 1.0
 
     def test_monotone_in_u(self):
         caps = capacity_samples(2.0, 40, 100_000, derive_stream(14, 0))
@@ -225,7 +225,7 @@ class TestCapacityFunctional:
     def test_truncation_diagnostic_close(self):
         caps = capacity_samples(2.0, 40, 100_000, derive_stream(16, 0))
         est = caps.functional(0.3)
-        diff = abs(est.mean - caps.functional(0.3, diagnostic=True).mean)
+        diff = abs(est.mean - caps.diagnostic.functional(0.3).mean)
         width = est.ci95_high - est.ci95_low
         assert diff <= 2 * width
 
@@ -234,7 +234,7 @@ class TestCapacityFunctional:
         # each sample's two capacities move together (independent root
         # draws would leave them uncorrelated)
         s = capacity_samples(2.0, 12, 20_000, derive_stream(72, 0))
-        assert np.corrcoef(s.caps, s.caps_diagnostic)[0, 1] > 0.5
+        assert np.corrcoef(s.caps, s.diagnostic.caps)[0, 1] > 0.5
 
     def test_pool_matches_per_tree_route(self):
         # the level-pool sampler against materialized trees + exact
@@ -256,8 +256,6 @@ class TestCapacityFunctional:
             capacity_samples(2.0, 40, 0, derive_stream(1, 0))
         with pytest.raises(ValueError, match="u must be nonnegative"):
             capacity_samples(2.0, 8, 100, derive_stream(1, 0)).functional(-0.5)
-        with pytest.raises(ValueError, match="no diagnostic radius available"):
-            capacity_samples(2.0, 5, 100, derive_stream(1, 0)).functional(0.1, diagnostic=True)
 
 
 def _offspring_pmf(lam: float, positive: bool, kmax: int) -> np.ndarray:
@@ -319,10 +317,11 @@ class TestCapacitySamplesGolden:
     ], ids=["radius12", "radius6", "radius5", "radius0"])
     def test_samples_unchanged(self, radius, diagnostic_radius, digest):
         s = capacity_samples(2.0, radius, 2000, derive_stream(71, 0))
-        assert (s.caps_diagnostic is None) == (diagnostic_radius is None)
+        assert (s.diagnostic is None) == (diagnostic_radius is None)
         h = hashlib.sha256(s.caps.tobytes())
-        if s.caps_diagnostic is not None:
-            h.update(s.caps_diagnostic.tobytes())
+        if s.diagnostic is not None:
+            assert s.diagnostic.diagnostic is None
+            h.update(s.diagnostic.caps.tobytes())
         assert h.hexdigest() == digest
 
     @pytest.mark.parametrize("radius, digest", [

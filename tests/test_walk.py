@@ -299,8 +299,8 @@ class TestHittingTail:
         gen = derive_stream(14, 1).generator()
         x = int(comp[gen.integers(0, len(comp))])
         r = walk.default_ball_radius(n, rho)
-        esc = escape_probability(g, x, r, 2000, derive_stream(14, 2))
-        scale = 1.0 / max(esc.mean * walk.stationary_pi(g, comp, x), 1e-9)
+        esc = escape_probability(g, x, r)
+        scale = 1.0 / max(esc * walk.stationary_pi(g, comp, x), 1e-9)
         ts = np.unique(np.round(np.linspace(0.4, 3.0, 8) * scale).astype(np.int64))
         est = estimate_hitting_tail(g, comp, x, ts, n_walks, derive_stream(14, 3))
         fit = np.exp(-est.ts / est.mean_hitting)
@@ -332,20 +332,18 @@ class TestKilledWalkGolden:
 
 
 class TestEscapeGolden:
-    """Escape bytes are pinned: the kernel's stop rule for many targets
-    must leave the one-target return-time walk drawing as before."""
+    """Escape values are pinned: the exact solve on three radius-6 balls of
+    one 2000-vertex ER(2) graph must keep its values to rounding."""
 
     def test_escape_unchanged(self):
         g = sample_er(2000, 2.0, derive_stream(71, 0))
         comp = whole_component(g)
         r = walk.default_ball_radius(2000, 2.0)
+        assert r == 6
         xs = [int(comp[0]), int(comp[len(comp) // 2]), int(comp[np.argmax(g.degrees()[comp])])]
-        h = hashlib.sha256()
-        for i, x in enumerate(xs):
-            p = escape_probability(g, x, r, 1000, derive_stream(71, 1).substream(i))
-            assert 0.1 < p.mean < 0.5
-            h.update(np.array([p.mean, p.std_error, p.ci95_low, p.ci95_high, p.n_samples]).tobytes())
-        assert h.hexdigest() == "4aaec5bcf010bc0738fa25c0e0362135d279da6e5f4a678ef54069438bcf55b4"
+        pinned = [0.40391925450476096, 0.15358418396852236, 0.32293154020626025]
+        for x, value in zip(xs, pinned):
+            assert abs(escape_probability(g, x, r) - value) <= 1e-12
 
 
 class TestKilledWalkLaw:
@@ -354,7 +352,9 @@ class TestKilledWalkLaw:
     each of the four highest-degree vertices (degrees 8, 7, 6, 6) of a
     477-vertex ER(2) giant. Over 25 independent sets of 200 streams the
     z-scores' mean spread with sd 0.06-0.07 and their sd with sd 0.04-0.05,
-    so the bands are about four of those spreads wide."""
+    so the bands are about four of those spreads wide. The escape
+    probability at the same vertices is exact, so it meets its oracle to
+    rounding."""
 
     N_WALKS = 200
     STREAMS_PER_VERTEX = 50
@@ -384,32 +384,29 @@ class TestKilledWalkLaw:
                 z.append((est.tail[0] - p) / math.sqrt(p * (1 - p) / self.N_WALKS))
         self.assert_standard(z)
 
-    def test_escape_z_scores(self, giant):
+    def test_escape_matches_oracle(self, giant):
         g, comp, xs = giant
-        z = []
-        for j, x in enumerate(xs):
+        for x in xs:
             p = escape_probability_ball_oracle(g, x, 3)
             assert 0.2 < p < 0.8
-            for i in range(self.STREAMS_PER_VERTEX):
-                est = escape_probability(g, x, 3, self.N_WALKS, derive_stream(82, j).substream(i))
-                z.append((est.mean - p) / math.sqrt(p * (1 - p) / self.N_WALKS))
-        self.assert_standard(z)
+            assert abs(escape_probability(g, x, 3) - p) <= 1e-10
 
     def test_one_step_is_uniform_over_seven_neighbours(self):
         # vertex 1 has degree 7 (not a power of two) and a nonzero row
-        # start; capped at one step, every walker ends on a neighbour
+        # start; each leaf is its own target, so capped at one step every
+        # walker hits exactly one leaf at step 1
         leaves = [0, 2, 3, 4, 5, 6, 7]
         g = build_graph(8, [(1, v) for v in leaves])
         target = np.full(8, -1, dtype=np.int64)
-        target[1] = 0
+        target[leaves] = np.arange(len(leaves))
         n_walks = 70_000
-        times, ends = walk._killed_walks(g, np.full(n_walks, 1, dtype=np.int64), target, 1,
-                                         derive_stream(83, 0).generator(), start_counts=False)
-        assert (times == -1).all()
-        counts = np.bincount(ends, minlength=8)
-        assert counts[1] == 0
+        times = walk._killed_walks(g, np.full(n_walks, 1, dtype=np.int64), target, 1,
+                                   derive_stream(83, 0).generator())
+        assert ((times == 1).sum(axis=1) == 1).all()
+        assert ((times == 1) | (times == -1)).all()
+        counts = (times == 1).sum(axis=0)
         expected = n_walks / len(leaves)
-        chi2 = float(((counts[leaves] - expected) ** 2 / expected).sum())
+        chi2 = float(((counts - expected) ** 2 / expected).sum())
         assert chi2 < 22.46  # the 0.999 quantile of chi-square with 6 degrees of freedom
 
 
@@ -450,31 +447,39 @@ class TestBall:
 
 class TestEscapeProbability:
     def test_er_ball_matches_harmonic_solve(self):
-        g = sample_er(500, 2.0, derive_stream(72, 0))
-        x = int(whole_component(g)[0])
-        est = escape_probability(g, x, 3, 20_000, derive_stream(72, 1))
-        exact = escape_probability_ball_oracle(g, x, 3)
-        assert 0.05 < exact < 0.95
-        assert abs(est.mean - exact) <= 4 * est.std_error
+        for seed in range(3):
+            g = sample_er(500, 2.0, derive_stream(72, seed))
+            comp = whole_component(g)
+            for x in comp[:: len(comp) // 4][:4].tolist():
+                for r in (1, 2, 3, 5):
+                    exact = escape_probability_ball_oracle(g, x, r)
+                    assert abs(escape_probability(g, x, r) - exact) <= 1e-10, (seed, x, r)
 
     def test_cycle_gamblers_ruin(self):
+        # from x the walk steps onto a path of r + 1 edges with absorbing
+        # ends at x and at distance r + 1: escape is 1 / (r + 1)
         g = cycle_graph(100)
         for r in range(1, 11):
-            est = escape_probability(g, 0, r, 10_000, derive_stream(9, r))
-            expect = 1.0 / (r + 1)
-            half = max(3 * est.std_error, 0.005)
-            assert abs(est.mean - expect) <= half
+            assert abs(escape_probability(g, 0, r) - 1.0 / (r + 1)) <= 1e-12
+
+    def test_path_end_gamblers_ruin(self):
+        g = build_graph(30, [(v, v + 1) for v in range(29)])
+        for r in range(1, 11):
+            assert abs(escape_probability(g, 0, r) - 1.0 / (r + 1)) <= 1e-12
 
     def test_star_ball_covers_component(self):
-        g = star_graph(6)
-        est = escape_probability(g, 0, 1, 100, derive_stream(9, 0))
-        # the ball is the whole component: every walk returns, no draw is made
-        assert est.mean == 0.0 and est.std_error == 0.0
+        # the ball is the whole component: every walk returns
+        assert escape_probability(star_graph(6), 0, 1) == 0.0
 
     def test_single_edge_forces_return(self):
-        g = build_graph(2, [(0, 1)])
-        est = escape_probability(g, 0, 1, 100, derive_stream(9, 99))
-        assert est.mean == 0.0
+        assert escape_probability(build_graph(2, [(0, 1)]), 0, 1) == 0.0
+
+    def test_unconverged_solve_raises(self, monkeypatch):
+        g = sample_er(500, 2.0, derive_stream(72, 0))
+        x = int(whole_component(g)[0])
+        monkeypatch.setattr(walk, "CG_MAX_ITER", 1)
+        with pytest.raises(ValueError, match="did not converge"):
+            escape_probability(g, x, 3)
 
 
 class TestSpectralGap:
