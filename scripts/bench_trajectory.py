@@ -17,7 +17,7 @@ Per checkout the file records:
   --trace 0`` run (end-to-end metrics, run length from ``BENCHMARK.json``),
   and each metric's median and quartiles over the successful runs;
 - the wall time and peak RSS of ``import vacantlab`` in a fresh interpreter,
-  median over several runs;
+  median over several runs, alternating between the checkouts;
 - with ``--tier1``, the wall time, exit code and summary line of the Tier-1
   suite, and its ``--durations`` report of the slowest tests;
 - the size of ``src/vacantlab/*.py``: its line count (as ``wc -l``) and,
@@ -74,23 +74,33 @@ def env_for(root: Path) -> dict:
     return env
 
 
-def import_time(root: Path, tmp: Path) -> dict:
-    """``import vacantlab`` in fresh interpreters, run from an empty
-    directory; the first run byte-compiles and is not counted."""
-    secs, rss = [], []
+def import_once(root: Path, tmp: Path) -> tuple[float, float]:
+    """Seconds and peak RSS (MB) of ``import vacantlab`` in a fresh
+    interpreter, run from an empty directory."""
+    proc = subprocess.Popen([sys.executable, "-c", IMPORT_CODE], cwd=tmp, env=env_for(root),
+                            stdout=subprocess.PIPE, text=True)
+    out = proc.stdout.read()
+    proc.stdout.close()
+    _, status, usage = os.wait4(proc.pid, 0)
+    if os.waitstatus_to_exitcode(status) != 0:
+        raise RuntimeError(f"import vacantlab failed in {root}")
+    return float(out), usage.ru_maxrss / 1024.0
+
+
+def import_times(roots: list[Path], tmp: Path) -> list[dict]:
+    """Median ``import vacantlab`` time and peak RSS per checkout, the runs
+    alternating between the checkouts (the order flipping every round) so
+    that they share the machine's drift; each checkout's first run
+    byte-compiles and is not counted."""
+    runs = [[] for _ in roots]
     for i in range(IMPORT_RUNS + 1):
-        proc = subprocess.Popen([sys.executable, "-c", IMPORT_CODE], cwd=tmp, env=env_for(root),
-                                stdout=subprocess.PIPE, text=True)
-        out = proc.stdout.read()
-        proc.stdout.close()
-        _, status, usage = os.wait4(proc.pid, 0)
-        if os.waitstatus_to_exitcode(status) != 0:
-            raise RuntimeError(f"import vacantlab failed in {root}")
-        if i > 0:
-            secs.append(float(out))
-            rss.append(usage.ru_maxrss / 1024.0)
-    return {"median_s": statistics.median(secs), "peak_rss_mb": statistics.median(rss),
-            "runs": len(secs)}
+        order = list(enumerate(roots))
+        for j, root in (order if i % 2 == 0 else order[::-1]):
+            sample = import_once(root, tmp)
+            if i > 0:
+                runs[j].append(sample)
+    return [{"median_s": statistics.median(s for s, _ in r),
+             "peak_rss_mb": statistics.median(m for _, m in r), "runs": len(r)} for r in runs]
 
 
 def src_counts(root: Path) -> dict:
@@ -184,8 +194,8 @@ def main() -> int:
             order = list(zip(roots, points))
             return order if i % 2 == 0 else order[::-1]
 
-        for root, pt in alternating(0):
-            pt["import_vacantlab"] = import_time(root, tmp)
+        for pt, imported in zip(points, import_times(roots, tmp)):
+            pt["import_vacantlab"] = imported
         for k in range(args.pairs):
             for i, workload in enumerate(WORKLOADS):
                 for root, pt in alternating(i + 1 + k):

@@ -63,14 +63,7 @@ def _sweep_trial(n: int, rho: float, t_by_u: tuple, stream: RngStream) -> tuple:
     g = sample_er(n, rho, stream.substream(0))
     comp = giant_vertices(components(g))
     times = walk.run_walk_first_visits(g, comp, max(t_by_u), stream.substream(1))
-    rows = []
-    for t in t_by_u:
-        vac = walk.vacant_from_first_visits(comp, times, t)
-        lab = walk.vacant_components(g, vac)
-        c1 = int(lab.sizes[0]) if lab.n_components > 0 else 0
-        c2 = int(lab.sizes[1]) if lab.n_components > 1 else 0
-        rows.append((vac.size, c1, c2))
-    return stream.root_seed, len(comp), rows
+    return stream.root_seed, len(comp), walk.vacant_structure(g, comp, times, t_by_u).tolist()
 
 
 def sweep_vacant_structure(n: int, rho: float, u_grid, n_trials: int, root: RngStream,

@@ -1,6 +1,7 @@
 """Simple random walk on a fixed connected component: stationary starts,
-vacant sets at the model's time scaling and their components, hitting
-times, exact escape probabilities of a ball and a spectral gap oracle (scipy).
+vacant sets at the model's time scaling and their components (one set, or
+a whole time grid in one pass), hitting times, exact escape probabilities
+of a ball and a spectral gap oracle (scipy).
 """
 
 from __future__ import annotations
@@ -12,13 +13,15 @@ import numpy as np
 
 from . import critical
 from .engine import as_generator
-from .random_graph import ComponentLabeling, Graph, _label
+from .random_graph import ComponentLabeling, Graph, _hook, _label
 
 DENSE_SPECTRAL_CAP = 5000
 _BLOCK = 1 << 15
 _STOP_BIT = np.int64(-1 << 63)
 _FIELDS = np.int64((1 << 63) - 1)
 _LOW32 = np.uint64(0xFFFFFFFF)
+# 64-bit words the killed-walk kernel draws at least per refill of its buffer
+_RAW_REFILL = 8192
 # escape_probability's conjugate-gradient iteration cap and relative residual
 CG_MAX_ITER = 10_000
 CG_RTOL = 1e-12
@@ -152,6 +155,47 @@ def vacant_components(g: Graph, vac: np.ndarray) -> ComponentLabeling:
     return _label(len(vac), *_induced_edges(g, vac))
 
 
+def vacant_structure(g: Graph, component: np.ndarray, times: np.ndarray, ts) -> np.ndarray:
+    """(vacant size, largest, second largest vacant component size) at
+    every time of the ascending grid ``ts``, one row each, from one walk's
+    first-visit ``times`` on ``component`` (0 where there is no such
+    component).
+
+    The vacant sets nest, so they are swept in one pass (Newman & Ziff,
+    PRL 85, 4104, 2000): the vertices are ordered once by decreasing
+    first-visit time, never-visited first, so every vacant set is a prefix
+    of that order, and the induced edges once by their later endpoint in
+    it, so every vacant set's edges are a prefix too. From the last time to
+    the first, ``_hook`` merges each newly alive edge slice into one root
+    array and a count of the prefix's roots gives the two sizes."""
+    ts = np.asarray(ts, dtype=np.int64)
+    if len(ts) and (ts[0] < 0 or (np.diff(ts) < 0).any()):
+        raise ValueError("time grid must be nonnegative and ascending")
+    death = times[component]
+    death = np.where(death < 0, np.iinfo(np.int64).max, death)
+    up = np.argsort(death)
+    k = len(component)
+    counts = k - np.searchsorted(death[up], ts, side="right")
+    a, b = _induced_edges(g, component[up[::-1]])
+    later = np.maximum(a, b)
+    by_later = np.argsort(later)
+    a, b, later = a[by_later], b[by_later], later[by_later]
+    ends = np.searchsorted(later, counts)
+    root = np.arange(k, dtype=np.int64)
+    rows = np.zeros((len(ts), 3), dtype=np.int64)
+    merged = 0
+    for i in range(len(ts) - 1, -1, -1):
+        c, e = counts[i], ends[i]
+        _hook(root[:c], a[merged:e], b[merged:e])
+        merged = e
+        sizes = np.bincount(root[:c], minlength=2)
+        top = sizes.argmax()
+        rows[i, :2] = c, sizes[top]
+        sizes[top] = 0
+        rows[i, 2] = sizes.max()
+    return rows
+
+
 def _killed_walks(g: Graph, starts: np.ndarray, target: np.ndarray, cap: int, gen) -> np.ndarray:
     """Step every walker from ``starts`` and record its first hit of each
     target j, the vertices v with ``target[v] == j`` (-1 elsewhere); a start
@@ -166,11 +210,17 @@ def _killed_walks(g: Graph, starts: np.ndarray, target: np.ndarray, cap: int, ge
     row starts must stay below 2**31 and degrees below 2**32. A step draws
     one uint32 r per live walker, in walker order, two to each 64-bit
     output of the bit generator (low half first on a little-endian
-    machine), and moves to slot row start + (r * degree >> 32), a
-    multiply-shift choice: each neighbour's chance is within 2**-32 of
-    1/degree, a relative bias of at most degree/2**32. The step is one
-    gather of the new words and one sign test; vertex ids are decoded only
-    for walkers that land on a target.
+    machine; with an odd live count the high half of the step's last
+    output goes unused), and moves to slot row start + (r * degree >> 32),
+    a multiply-shift choice: each neighbour's chance is within 2**-32 of
+    1/degree, a relative bias of at most degree/2**32. It is computed in
+    place as (row start * 2**32 + r * degree) >> 32, which stays below
+    2**63 since row start + degree <= 2m < 2**31. The step is one gather of
+    the new words and one sign test; vertex ids are decoded only for
+    walkers that land on a target. The outputs are read from a buffer
+    refilled with at least _RAW_REFILL of them at a time: the walkers get
+    the same bits as from one draw per step, but ``gen`` ends up past
+    outputs that no walker read.
 
     Returns the first-hit steps, one row per walker and one column per
     target (-1 if not hit by the cap).
@@ -192,13 +242,23 @@ def _killed_walks(g: Graph, starts: np.ndarray, target: np.ndarray, cap: int, ge
     alive = np.flatnonzero(left > 0)
     w = word[two_m + starts[alive]] & _FIELDS
     draw = gen.bit_generator.random_raw
+    raw, used = np.empty(0, dtype=np.uint64), 0
     step = 0
     while len(alive) > 0 and step < cap:
         step += 1
-        r = draw((len(w) + 1) // 2).view(np.uint32)[:len(w)]
+        need = (len(w) + 1) // 2
+        if used + need > len(raw):
+            raw, used = np.concatenate([raw[used:], draw(max(_RAW_REFILL, need))]), 0
+        r = raw[used:used + need].view(np.uint32)[:len(w)]
+        used += need
+        # in place, each word becomes its next slot (row start * 2**32 + r * degree) >> 32
         wu = w.view(np.uint64)
-        pos = ((wu >> 32) + ((r * (wu & _LOW32)) >> 32)).view(np.int64)
-        w = word[pos]
+        degree = wu & _LOW32
+        wu ^= degree
+        degree *= r
+        wu += degree
+        wu >>= 32
+        pos, w = w, word[w]
         if w.min() < 0:
             on = w < 0
             wk = alive[on]
@@ -223,13 +283,17 @@ def estimate_hitting_tails(g: Graph, component: np.ndarray, targets, ts, n_walks
     max(ts); capped walks enter each mean as censored observations (total
     observed time / number of hits) and their fraction is reported. The
     estimates share walks, so they are correlated across targets. Every
-    target must lie in ``component``.
+    target must lie in ``component``, and every time must be nonnegative.
+    A passed generator ends up past the outputs the walks read (see
+    ``_killed_walks``).
     """
     if n_walks < 1:
         raise ValueError("n_walks must be positive")
     ts = np.asarray(sorted(int(t) for t in ts), dtype=np.int64)
     if len(ts) == 0:
         raise ValueError("need at least one time point")
+    if ts[0] < 0:
+        raise ValueError("time points must be nonnegative")
     targets = np.asarray(targets, dtype=np.int64)
     if len(np.unique(targets)) < len(targets):
         raise ValueError("targets must be distinct")

@@ -19,9 +19,11 @@ SRC = Path(vacantlab.__file__).resolve().parent
 ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 
 # Kept on purpose although only tests call them: independent oracles the
-# unit tests check the fast paths against, and the adjacency accessor those
-# oracles read graphs through.
-ALLOWED = {"walk.spectral_gap", "gw.capacity_samples_direct", "random_graph.Graph.neighbors"}
+# unit tests check the fast paths against, the adjacency accessor those
+# oracles read graphs through, and the per-time labeller of one vacant set,
+# which the benchmark's tracer (perfbench/tracer.py) wraps by name.
+ALLOWED = {"walk.spectral_gap", "gw.capacity_samples_direct", "random_graph.Graph.neighbors",
+           "walk.vacant_components"}
 
 
 def _public(name: str) -> bool:

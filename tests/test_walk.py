@@ -29,6 +29,7 @@ from vacantlab.walk import (
     spectral_gap,
     vacant_components,
     vacant_from_first_visits,
+    vacant_structure,
     walk_time,
 )
 
@@ -222,6 +223,63 @@ class TestVacantComponentsOracle:
             self.assert_matches_reference(g, host[membership])
 
 
+class TestVacantStructure:
+    """The one-pass sweep against every grid time's vacant set rebuilt from
+    the adjacency lists and labelled by breadth-first search."""
+
+    @staticmethod
+    def reference(g, comp, times, ts):
+        rows = []
+        for s in ts:
+            vac = vacant_from_first_visits(comp, times, s)
+            sizes = components_oracle(len(vac), *induced_edges_oracle(g, vac))[1].tolist()
+            rows.append([len(vac)] + (sizes + [0, 0])[:2])
+        return rows
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_er_walks_match_oracle(self, seed):
+        g = sample_er(2000, 2.0, derive_stream(60, seed))
+        comp = whole_component(g)
+        ts = [0, 40, 300, 1200, 3000, 8000]
+        times = run_walk_first_visits(g, comp, ts[-1], derive_stream(61, seed))
+        rows = vacant_structure(g, comp, times, ts)
+        assert rows.dtype == np.int64 and rows.shape == (len(ts), 3)
+        assert rows.tolist() == self.reference(g, comp, times, ts)
+        # the grid crosses from one big piece to many
+        assert rows[0, 2] < rows[0, 1] and (rows[1:, 2] > 0).any()
+
+    def test_repeated_grid_time(self):
+        g = sample_er(2000, 2.0, derive_stream(60, 0))
+        comp = whole_component(g)
+        ts = [0, 300, 300, 1200, 1200, 1200]
+        times = run_walk_first_visits(g, comp, ts[-1], derive_stream(61, 0))
+        rows = vacant_structure(g, comp, times, ts).tolist()
+        assert rows == self.reference(g, comp, times, ts)
+        assert rows[1] == rows[2] and rows[3] == rows[4] == rows[5]
+
+    def test_covering_walk_leaves_nothing(self):
+        g = cycle_graph(8)
+        comp = whole_component(g)
+        times = run_walk_first_visits(g, comp, 2000, derive_stream(63, 0))
+        assert (times >= 0).all()
+        assert vacant_structure(g, comp, times, [0, 2000]).tolist() == [[7, 7, 0], [0, 0, 0]]
+
+    def test_one_vacant_vertex(self):
+        g = build_graph(4, [(0, 1), (1, 2), (2, 3)])
+        comp = whole_component(g)
+        times = np.array([0, 1, 2, -1], dtype=np.int64)
+        rows = vacant_structure(g, comp, times, [0, 1, 2])
+        assert rows.tolist() == [[3, 3, 0], [2, 2, 0], [1, 1, 0]]
+
+    @pytest.mark.parametrize("ts", [[5, 3], [0, 40, 39], [-1, 2]])
+    def test_rejects_descending_or_negative_grid(self, ts):
+        g = cycle_graph(8)
+        comp = whole_component(g)
+        times = run_walk_first_visits(g, comp, 10, derive_stream(63, 1))
+        with pytest.raises(ValueError, match="nonnegative and ascending"):
+            vacant_structure(g, comp, times, ts)
+
+
 class TestHittingTail:
     def test_single_vertex_hits_immediately(self):
         g = sample_er(1, 0.0, derive_stream(7, 0))
@@ -282,6 +340,14 @@ class TestHittingTail:
         with pytest.raises(ValueError, match="lie in the component"):
             estimate_hitting_tails(g, np.array([0, 1, 2]), [1, 3], [1, 5], 10, derive_stream(1, 1))
 
+    @pytest.mark.parametrize("ts", [[-3], [5, -1, 2]])
+    def test_negative_time_rejected(self, ts):
+        # a negative time is no step count: it used to give tail 1.0, an
+        # infinite mean and a censored fraction of 1
+        g = cycle_graph(8)
+        with pytest.raises(ValueError, match="nonnegative"):
+            estimate_hitting_tails(g, whole_component(g), [0], ts, 10, derive_stream(1, 2))
+
     def test_censoring_reported(self):
         g = cycle_graph(50)
         comp = whole_component(g)
@@ -328,6 +394,26 @@ class TestKilledWalkGolden:
         h = hashlib.sha256()
         for arr in (est.ts, est.tail, np.array([est.mean_hitting, est.censored_fraction])):
             h.update(arr.tobytes())
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("ts, censored, digest", [
+        ([0, 1, 10, 100, 1000, 10000, 30000], [0.0, 0.0, 0.0],
+         "67c938f8f9e26ad8cf851b9ca95a73cbbe1b1019d5ff79551c55bd3220c422a1"),
+        ([0, 10, 100, 1000], [0.4914914914914915, 0.45145145145145144, 0.5995995995995996],
+         "bb55760e34d64773f096425adae45b351f4cd146cb6308fe27ae3fc417503833"),
+    ], ids=["all-hit", "censored"])
+    def test_three_target_tails_unchanged(self, ts, censored, digest):
+        # the multi-target form `hitting` runs, with an odd walker count so
+        # that some steps draw for an odd number of live walkers
+        g = sample_er(2000, 2.0, derive_stream(70, 0))
+        comp = whole_component(g)
+        xs = comp[np.argsort(-g.degrees()[comp], kind="stable")[:3]].tolist()
+        ests = estimate_hitting_tails(g, comp, xs, ts, 999, derive_stream(70, 2))
+        assert [est.censored_fraction for est in ests] == censored
+        h = hashlib.sha256()
+        for est in ests:
+            for arr in (est.ts, est.tail, np.array([est.mean_hitting, est.censored_fraction])):
+                h.update(arr.tobytes())
         assert h.hexdigest() == digest
 
 
