@@ -93,8 +93,8 @@ def import_times(roots: list[Path], tmp: Path) -> list[dict]:
     that they share the machine's drift; each checkout's first run
     byte-compiles and is not counted."""
     runs = [[] for _ in roots]
+    order = list(enumerate(roots))
     for i in range(IMPORT_RUNS + 1):
-        order = list(enumerate(roots))
         for j, root in (order if i % 2 == 0 else order[::-1]):
             sample = import_once(root, tmp)
             if i > 0:
