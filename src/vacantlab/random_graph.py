@@ -146,29 +146,28 @@ def components(g: Graph) -> ComponentLabeling:
     return _label(g.n, *g.edge_arrays)
 
 
-def _hook(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-    """Merge the edges (a[i], b[i]) into the forest ``root`` in place, by
-    hook and shortcut (Shiloach & Vishkin, J. Algorithms 3, 1982): each root
-    hooks onto the smallest root it shares an edge with, then every vertex
-    jumps to its root, until no edge joins two trees. ``root`` must map
-    every vertex to its tree's smallest vertex, and it does again on return:
-    hooks only lower roots."""
+def _hook(root: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The forest ``root`` with the edges (a[i], b[i]) merged in, by hook and
+    shortcut (Shiloach & Vishkin, J. Algorithms 3, 1982): each root hooks
+    onto the smallest root it shares an edge with, then every vertex jumps
+    to its root, until no edge joins two trees. ``root`` must map every
+    vertex to its tree's smallest vertex, and the result does too: hooks
+    only lower roots. ``root`` may be written into; use the result."""
     while True:
         ra, rb = root[a], root[b]
         if np.array_equal(ra, rb):
-            return
+            return root
         # an edge inside one tree hooks its root onto itself, which changes nothing
         np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
         while not np.array_equal(jumped := root[root], root):
-            root[:] = jumped
+            root = jumped
 
 
 def _label(k: int, a: np.ndarray, b: np.ndarray) -> ComponentLabeling:
     """Canonical components of the k-vertex graph with edges (a[i], b[i]),
     hooked from singletons by ``_hook``, so each root is its component's
     smallest vertex."""
-    root = np.arange(k, dtype=np.int64)
-    _hook(root, a, b)
+    root = _hook(np.arange(k, dtype=np.int64), a, b)
     roots = np.flatnonzero(root == np.arange(k))
     sizes = np.bincount(root, minlength=k)[roots]
     # roots ascend, so a stable sort by -size breaks ties by smallest vertex

@@ -20,8 +20,6 @@ _BLOCK = 1 << 15
 _STOP_BIT = np.int64(-1 << 63)
 _FIELDS = np.int64((1 << 63) - 1)
 _LOW32 = np.uint64(0xFFFFFFFF)
-# 64-bit words the killed-walk kernel draws at least per refill of its buffer
-_RAW_REFILL = 8192
 # escape_probability's conjugate-gradient iteration cap and relative residual
 CG_MAX_ITER = 10_000
 CG_RTOL = 1e-12
@@ -186,7 +184,7 @@ def vacant_structure(g: Graph, component: np.ndarray, times: np.ndarray, ts) -> 
     merged = 0
     for i in range(len(ts) - 1, -1, -1):
         c, e = counts[i], ends[i]
-        _hook(root[:c], a[merged:e], b[merged:e])
+        root[:c] = _hook(root[:c], a[merged:e], b[merged:e])
         merged = e
         sizes = np.bincount(root[:c], minlength=2)
         top = sizes.argmax()
@@ -217,10 +215,7 @@ def _killed_walks(g: Graph, starts: np.ndarray, target: np.ndarray, cap: int, ge
     place as (row start * 2**32 + r * degree) >> 32, which stays below
     2**63 since row start + degree <= 2m < 2**31. The step is one gather of
     the new words and one sign test; vertex ids are decoded only for
-    walkers that land on a target. The outputs are read from a buffer
-    refilled with at least _RAW_REFILL of them at a time: the walkers get
-    the same bits as from one draw per step, but ``gen`` ends up past
-    outputs that no walker read.
+    walkers that land on a target.
 
     Returns the first-hit steps, one row per walker and one column per
     target (-1 if not hit by the cap).
@@ -242,15 +237,10 @@ def _killed_walks(g: Graph, starts: np.ndarray, target: np.ndarray, cap: int, ge
     alive = np.flatnonzero(left > 0)
     w = word[two_m + starts[alive]] & _FIELDS
     draw = gen.bit_generator.random_raw
-    raw, used = np.empty(0, dtype=np.uint64), 0
     step = 0
     while len(alive) > 0 and step < cap:
         step += 1
-        need = (len(w) + 1) // 2
-        if used + need > len(raw):
-            raw, used = np.concatenate([raw[used:], draw(max(_RAW_REFILL, need))]), 0
-        r = raw[used:used + need].view(np.uint32)[:len(w)]
-        used += need
+        r = draw((len(w) + 1) // 2).view(np.uint32)[:len(w)]
         # in place, each word becomes its next slot (row start * 2**32 + r * degree) >> 32
         wu = w.view(np.uint64)
         degree = wu & _LOW32
@@ -284,8 +274,6 @@ def estimate_hitting_tails(g: Graph, component: np.ndarray, targets, ts, n_walks
     observed time / number of hits) and their fraction is reported. The
     estimates share walks, so they are correlated across targets. Every
     target must lie in ``component``, and every time must be nonnegative.
-    A passed generator ends up past the outputs the walks read (see
-    ``_killed_walks``).
     """
     if n_walks < 1:
         raise ValueError("n_walks must be positive")
