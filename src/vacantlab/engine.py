@@ -143,11 +143,12 @@ def ks_uniform_pvalue(samples) -> float:
 
 
 def worker_cap() -> int:
-    """Most workers a run may use: VACANTLAB_THREADS when set, otherwise
-    all available cores."""
+    """Most workers a run may use: VACANTLAB_THREADS when set, otherwise the
+    CPUs this process may run on (all cores where affinity is unknown)."""
     env = os.environ.get(THREADS_ENV_VAR)
     if env is None:
-        return os.cpu_count() or 1
+        affinity = getattr(os, "sched_getaffinity", None)
+        return len(affinity(0)) if affinity else (os.cpu_count() or 1)
     cap = int(env) if env.strip().isdecimal() else 0
     if cap < 1:
         raise ValueError(f"{THREADS_ENV_VAR} must be a positive integer, got {env!r}")

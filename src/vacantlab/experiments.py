@@ -175,15 +175,19 @@ def hitting_and_vacancy_report(n: int, rho: float, u: float, n_vertices_probed: 
     One ensemble of stationary walks records the hitting tails of every
     distinct probed vertex, so the rows share walks and their empirical
     columns are correlated; a vertex drawn twice gives two rows with the
-    same tail. The exact escape probabilities draw nothing and are solved
-    before the ensemble, so a rejected radius costs no ensemble."""
+    same tail. The walk count and radius are checked before the graph is
+    sampled and the exact escape probabilities solved before the ensemble."""
     if n > 100_000:
         raise ValueError("n capped at 1e5 for the probing report")
     if n_vertices_probed < 1:
         raise ValueError("n_vertices_probed must be positive")
+    if n_walks < 1:
+        raise ValueError("n_walks must be positive")
     gen = as_generator(root.substream(3))
     t = walk.walk_time(u, rho, n)
     r = walk.default_ball_radius(n, rho) if radius is None else radius
+    if r < 1:
+        raise ValueError("r must be at least 1")
     g = sample_er(n, rho, root.substream(0))
     comp = giant_vertices(components(g))
     chosen = comp[gen.integers(0, len(comp), n_vertices_probed)].tolist()

@@ -42,20 +42,18 @@ def _uniforms(gen: np.random.Generator) -> Iterator[float]:
 class ExplorationState:
     """Live state of the exploring process at time ``step`` on its
     ``graph``; it is covered when ``unvisited_count`` is 0.
-    ``_unvisited_in[c]`` counts the unvisited vertices of component c; the
-    adjacency and labels are Python lists, made once per state for the
-    step loop."""
+    ``_unvisited_in[c]`` counts the unvisited vertices of component c; it,
+    the visited flags and the labels are numpy arrays, which ``run_to``
+    indexes through memoryviews, as it does the graph's own arrays."""
 
     graph: Graph
     step: int
     current: int
     jumps: int
     unvisited_count: int
-    _visited: list = field(repr=False)
-    _label: list = field(repr=False)
-    _unvisited_in: list = field(repr=False)
-    _indptr: list = field(repr=False)
-    _indices: list = field(repr=False)
+    _visited: np.ndarray = field(repr=False)
+    _label: np.ndarray = field(repr=False)
+    _unvisited_in: np.ndarray = field(repr=False)
     _draw: Iterator[float] = field(repr=False)
 
 
@@ -66,10 +64,9 @@ def new_exploration(n: int, rho: float, rng) -> ExplorationState:
     g = sample_er(n, rho, gen)
     labeling = components(g)
     start = int(gen.integers(0, n))
-    label = labeling.label.tolist()
-    unvisited_in = labeling.sizes.tolist()
-    unvisited_in[label[start]] -= 1
-    visited = [False] * n
+    unvisited_in = labeling.sizes.copy()
+    unvisited_in[labeling.label[start]] -= 1
+    visited = np.zeros(n, dtype=bool)
     visited[start] = True
     return ExplorationState(
         graph=g,
@@ -78,10 +75,8 @@ def new_exploration(n: int, rho: float, rng) -> ExplorationState:
         jumps=0,
         unvisited_count=n - 1,
         _visited=visited,
-        _label=label,
+        _label=labeling.label,
         _unvisited_in=unvisited_in,
-        _indptr=g.indptr.tolist(),
-        _indices=g.indices.tolist(),
         _draw=_uniforms(gen),
     )
 
@@ -93,8 +88,8 @@ def run_to(state: ExplorationState, t: int) -> ExplorationState:
     if t < state.step:
         raise ValueError("cannot advance backwards")
     n = state.graph.n
-    indptr, indices = state._indptr, state._indices
-    visited, label, unvisited_in = state._visited, state._label, state._unvisited_in
+    indptr, indices, visited, label, unvisited_in = map(memoryview, (
+        state.graph.indptr, state.graph.indices, state._visited, state._label, state._unvisited_in))
     draw = state._draw
     cur, step, jumps, left = state.current, state.step, state.jumps, state.unvisited_count
     while step < t and left:
@@ -150,7 +145,7 @@ def _er_trial(n: int, rho: float, t: int, stream: RngStream) -> tuple:
     k = state.unvisited_count
     if p <= 0.0 or k < 2:
         return k, None, None
-    vacant_vertices = np.flatnonzero(np.logical_not(state._visited))
+    vacant_vertices = np.flatnonzero(~state._visited)
     a, b = walk._induced_edges(state.graph, vacant_vertices)
     unif = float(stream.substream(1).generator().random())
     pit = _binomial_pit(len(a), k * (k - 1) // 2, p, unif)

@@ -104,11 +104,11 @@ def run_walk_first_visits(g: Graph, component: np.ndarray, t: int, rng) -> np.nd
         raise ValueError("t must be nonnegative")
     gen = as_generator(rng)
     start = int(_stationary_starts(g, component, 1, gen)[0])
-    times = [-1] * g.n
+    times = np.full(g.n, -1, dtype=np.int64)
     times[start] = 0
     if t > 0 and g.degree(start) > 0:
-        indptr = g.indptr.tolist()
-        indices = g.indices.tolist()
+        # memoryviews index the arrays in place: no n-sized list copies
+        indptr, indices, first = map(memoryview, (g.indptr, g.indices, times))
         cur = start
         step = 0
         remaining = t
@@ -118,10 +118,10 @@ def run_walk_first_visits(g: Graph, component: np.ndarray, t: int, rng) -> np.nd
                 step += 1
                 lo = indptr[cur]
                 cur = indices[lo + int(unif * (indptr[cur + 1] - lo))]
-                if times[cur] < 0:
-                    times[cur] = step
+                if first[cur] < 0:
+                    first[cur] = step
             remaining -= len(block)
-    return np.array(times, dtype=np.int64)
+    return times
 
 
 def run_walk_vacant(g: Graph, component: np.ndarray, t: int, rng) -> np.ndarray:

@@ -6,10 +6,12 @@ from pathlib import Path
 
 import pytest
 
+import vacantlab
 from conftest import cli_env
 
 CLI = [sys.executable, "-m", "vacantlab.cli"]
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def run_cli(args, cwd, env_extra=None):
@@ -449,6 +451,15 @@ class TestOtherCommands:
         assert res.returncode == 2, res.stderr
         assert "usage: vacantlab" in res.stderr
         assert "invalid choice: 'frobnicate'" in res.stderr
+
+
+class TestVersion:
+    def test_pyproject_states_the_package_version(self):
+        # manifests record vacantlab.__version__; the built distribution
+        # takes pyproject's, and the two must not drift apart
+        lines = (ROOT / "pyproject.toml").read_text().splitlines()
+        assert [line for line in lines if line.startswith("version =")] == [
+            f'version = "{vacantlab.__version__}"']
 
 
 class TestImportPath:

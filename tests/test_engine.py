@@ -125,6 +125,17 @@ class TestRunTrials:
         with pytest.raises(ValueError, match=f"VACANTLAB_THREADS must be a positive integer, got '{value}'"):
             engine.worker_cap()
 
+    def test_cap_counts_the_cpus_this_process_may_use(self, monkeypatch):
+        # under taskset or a cpuset the affinity mask, not the machine's
+        # core count, bounds the workers
+        monkeypatch.delenv(engine.THREADS_ENV_VAR, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {2, 5}, raising=False)
+        assert engine.worker_cap() == 2
+        # a platform without affinity masks falls back to the core count
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert engine.worker_cap() == 64
+
 
 def _marking_trial(directory, stream):
     # leaves a trace of every trial that started, then takes long enough

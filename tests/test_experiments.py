@@ -123,6 +123,18 @@ class TestHittingVacancy:
         with pytest.raises(ValueError):
             hitting_and_vacancy_report(200_000, 2.0, 0.3, 2, derive_stream(44, 1))
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"n_walks": 0}, "n_walks must be positive"),
+        ({"radius": 0}, "r must be at least 1"),
+    ], ids=["no-walks", "radius0"])
+    def test_rejected_before_the_graph(self, monkeypatch, kwargs, message):
+        def no_graph(*args, **kw):
+            raise AssertionError("graph sampled for a rejected request")
+
+        monkeypatch.setattr(experiments, "sample_er", no_graph)
+        with pytest.raises(ValueError, match=message):
+            hitting_and_vacancy_report(2000, 2.0, 0.3, 2, derive_stream(44, 1), **kwargs)
+
     def test_readme_rows_carry_the_exact_escape(self):
         # the README command's report at seed 1: every row's p_escape is
         # the exact solve on the report's own graph and radius

@@ -152,6 +152,36 @@ class TestRunWalkVacant:
         assert derived.size + int((times[comp] >= 0).sum() - ((times[comp] > 150).sum())) == len(comp)
 
 
+class TestFirstVisitsGolden:
+    """First-visit bytes and the generator's position after the walk are
+    pinned: neither may change when the step loop's storage does. The
+    40 000-step walk spans two blocks of uniforms."""
+
+    SETTINGS = [(2000, 2.0, 81, 40_000), (300, 1.5, 82, 150)]
+
+    @pytest.mark.parametrize("setting, digest", zip(SETTINGS, [
+        "6630d00e069360f49f0d09ad17d43a834f105ceb395f22f43e29d5647fb17291",
+        "548ef32d2caa48109022f2896de27c8a0c1d619f961e93ed4cdf91453c1d0e1b",
+    ]), ids=["two-blocks", "short"])
+    def test_times_unchanged(self, setting, digest):
+        n, rho, seed, t = setting
+        g = sample_er(n, rho, derive_stream(seed, 0))
+        times = run_walk_first_visits(g, whole_component(g), t, derive_stream(seed, 1))
+        assert times.dtype == np.int64
+        assert hashlib.sha256(times.tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("setting, digest", zip(SETTINGS, [
+        "a8852341155f4b90b0840e4e2d83a4c1849a370e89df6247c6e43dea159af913",
+        "d71ce7e29353ca61fa3ce892e0c23b432e665b395f0787dff20644bedafae2b6",
+    ]), ids=["two-blocks", "short"])
+    def test_generator_position_unchanged(self, setting, digest):
+        n, rho, seed, t = setting
+        g = sample_er(n, rho, derive_stream(seed, 0))
+        gen = derive_stream(seed, 1).generator()
+        run_walk_first_visits(g, whole_component(g), t, gen)
+        assert hashlib.sha256(gen.random(4).tobytes()).hexdigest() == digest
+
+
 class TestVacantComponents:
     def test_all_vacant_is_whole_component(self, triangle):
         lab = vacant_components(triangle, whole_component(triangle))
