@@ -90,8 +90,11 @@ def import_once(root: Path, tmp: Path) -> tuple[float, float]:
 def import_times(roots: list[Path], tmp: Path) -> list[dict]:
     """Median ``import vacantlab`` time and peak RSS per checkout, the runs
     alternating between the checkouts (the order flipping every round) so
-    that they share the machine's drift; each checkout's first run
-    byte-compiles and is not counted."""
+    that they share the machine's drift; each checkout's first run is not
+    counted. That run writes ``.pyc`` files only where
+    PYTHONDONTWRITEBYTECODE is unset, which the environment passes on to
+    every run: where it is set, no run writes bytecode and every counted
+    run compiles the package."""
     runs = [[] for _ in roots]
     order = list(enumerate(roots))
     for i in range(IMPORT_RUNS + 1):

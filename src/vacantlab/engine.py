@@ -155,12 +155,6 @@ def worker_cap() -> int:
     return cap
 
 
-def trial_stream(root: RngStream, trial_index: int) -> RngStream:
-    """Stream of one trial in the family keyed by ``root``; stream_id is the
-    trial index so trials are replayable individually."""
-    return RngStream(root.entropy64(), int(trial_index))
-
-
 def _run_one(trial_fn, stream):
     # an outcome, not a raise: with chunks of several trials a raised error
     # would surface at its chunk's first index
@@ -192,7 +186,8 @@ def run_trials(trial_fn, n_trials: int, *, root: RngStream, meanwhile=None):
     """
     if n_trials < 1:
         raise ValueError("n_trials must be positive")
-    streams = [trial_stream(root, i) for i in range(n_trials)]
+    key = root.entropy64()
+    streams = [RngStream(key, i) for i in range(n_trials)]
     workers = min(worker_cap(), n_trials)
     pool = None
     if workers > 1:

@@ -274,6 +274,7 @@ def _draws(gen: np.random.Generator, lam: float, m: int,
             rounds.append(empty[local])
             empty = empty[np.bincount(local, minlength=len(empty)) == 0]
         owners = np.concatenate(rounds)
+        del rounds
     return owners, gen.integers(0, m, len(owners))
 
 
@@ -321,8 +322,8 @@ def capacity_samples(rho: float, radius: int, n_samples: int, rng) -> CapacitySa
     for level in range(radius + 1):
         if level > 0:
             c_d = _child_sum(_draws(gen, lam_d, m), h_d)
-            c_b = (_child_sum(_draws(gen, lam_b, m, positive=True), h_b)
-                   + _child_sum(_draws(gen, lam_d, m), h_d))
+            c_b = _child_sum(_draws(gen, lam_b, m, positive=True), h_b)
+            c_b += _child_sum(_draws(gen, lam_d, m), h_d)
             h_d, h_b = c_d / (1.0 + c_d), c_b / (1.0 + c_b)
         if level in (radius, diag_radius):
             levels[level] = (h_b, h_d)

@@ -169,16 +169,26 @@ def vacant_structure(g: Graph, component: np.ndarray, times: np.ndarray, ts) -> 
     ts = np.asarray(ts, dtype=np.int64)
     if len(ts) and (ts[0] < 0 or (np.diff(ts) < 0).any()):
         raise ValueError("time grid must be nonnegative and ascending")
-    death = times[component]
-    death = np.where(death < 0, np.iinfo(np.int64).max, death)
-    up = np.argsort(death)
+    # each n- or edge-sized scratch array is dropped right after its last
+    # read, so at most five edge arrays are alive at once
+    death = times[component].astype(np.int64, copy=False)
+    death[death < 0] = np.iinfo(np.int64).max
+    order = np.argsort(death)[::-1]
+    death = death[order]
     k = len(component)
-    counts = k - np.searchsorted(death[up], ts, side="right")
-    a, b = _induced_edges(g, component[up[::-1]])
+    counts = k - np.searchsorted(death[::-1], ts, side="right")
+    vertices = component[order]
+    del death, order
+    a, b = _induced_edges(g, vertices)
+    del vertices
     later = np.maximum(a, b)
     by_later = np.argsort(later)
-    a, b, later = a[by_later], b[by_later], later[by_later]
+    later = later[by_later]
     ends = np.searchsorted(later, counts)
+    del later
+    a = a[by_later]
+    b = b[by_later]
+    del by_later
     root = np.arange(k, dtype=np.int64)
     rows = np.zeros((len(ts), 3), dtype=np.int64)
     merged = 0

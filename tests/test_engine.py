@@ -72,6 +72,10 @@ def _sum_trial(size, stream):
     return float(stream.generator().random(size).sum())
 
 
+def _stream_trial(stream):
+    return stream
+
+
 def _failing_trial(stream):
     if stream.stream_id in (3, 5):
         raise RuntimeError(f"boom {stream.stream_id}")
@@ -96,6 +100,14 @@ class TestRunTrials:
         monkeypatch.setenv(engine.THREADS_ENV_VAR, "4")
         parallel = run_trials(partial(_sum_trial, 100), 6, root=root)
         assert pickle.dumps(serial) == pickle.dumps(parallel)
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_trial_i_receives_stream_i_of_the_family(self, monkeypatch, threads):
+        # the family is keyed by the root's digest; stream_id is the index
+        monkeypatch.setenv(engine.THREADS_ENV_VAR, threads)
+        root = derive_stream(11, 3).substream(7)
+        out = run_trials(_stream_trial, 6, root=root)
+        assert out == [engine.RngStream(root.entropy64(), i) for i in range(6)]
 
     @pytest.mark.parametrize("threads", ["1", "2"])
     def test_first_error_index_attached(self, monkeypatch, threads):

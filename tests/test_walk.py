@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -300,6 +301,22 @@ class TestVacantStructure:
         times = np.array([0, 1, 2, -1], dtype=np.int64)
         rows = vacant_structure(g, comp, times, [0, 1, 2])
         assert rows.tolist() == [[3, 3, 0], [2, 2, 0], [1, 1, 0]]
+
+    def test_scratch_per_edge(self):
+        # the sweep's traced peak reads 48 bytes per graph edge here; 76
+        # when the old and reordered edge arrays are alive together
+        n = 20_000
+        g = sample_er(n, 2.0, derive_stream(64, 0))
+        comp = whole_component(g)
+        ts = [walk_time(u / 20, 2.0, n) for u in range(21)]
+        times = run_walk_first_visits(g, comp, ts[-1], derive_stream(64, 1))
+        tracemalloc.start()
+        try:
+            vacant_structure(g, comp, times, ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 60 * g.m
 
     @pytest.mark.parametrize("ts", [[5, 3], [0, 40, 39], [-1, 2]])
     def test_rejects_descending_or_negative_grid(self, ts):
